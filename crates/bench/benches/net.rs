@@ -12,9 +12,8 @@
 //! only the wall-clock is interesting). The dense group does the same
 //! for one 64-node spatial tile on the CSMA channel.
 //!
-//! Runs on the in-tree `ulp_testkit::bench` harness by default (offline,
-//! zero external crates); enable the non-default `criterion-bench`
-//! feature of `ulp-bench` for Criterion statistics.
+//! Runs on the in-tree `ulp_testkit::bench` harness (offline, zero
+//! external crates).
 
 use ulp_bench::cosim::{run_cosim, run_cosim_event, CosimConfig};
 use ulp_bench::dense::{run_tile, DenseConfig};
@@ -38,7 +37,6 @@ fn tile_cfg() -> DenseConfig {
     }
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let cosim = cosim_cfg();
@@ -55,37 +53,4 @@ fn main() {
         .throughput(Throughput::Elements(tile_touches));
     h.bench("event_wheel_csma", || run_tile(&tile, 0));
     h.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-mod with_criterion {
-    use super::*;
-    use criterion::{criterion_group, Criterion, Throughput};
-
-    fn bench_net(c: &mut Criterion) {
-        let cosim = cosim_cfg();
-        let mut g = c.benchmark_group("cosim_driver");
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(cosim.nodes as u64 * cosim.horizon_slots));
-        g.bench_function("slot_stepped", |b| b.iter(|| run_cosim(&cosim)));
-        g.bench_function("event_wheel", |b| b.iter(|| run_cosim_event(&cosim)));
-        g.finish();
-
-        let tile = tile_cfg();
-        let mut g = c.benchmark_group("dense_tile");
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(tile.nodes as u64 * tile.horizon_slots));
-        g.bench_function("event_wheel_csma", |b| b.iter(|| run_tile(&tile, 0)));
-        g.finish();
-    }
-
-    criterion_group!(benches, bench_net);
-}
-
-#[cfg(feature = "criterion-bench")]
-fn main() {
-    with_criterion::benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -7,14 +7,13 @@
 //! the two is asserted elsewhere (`tests/store.rs`); here only the
 //! wall-clock is interesting.
 //!
-//! Runs on the in-tree `ulp_testkit::bench` harness by default (offline,
-//! zero external crates); enable the non-default `criterion-bench`
-//! feature of `ulp-bench` for Criterion statistics.
+//! Runs on the in-tree `ulp_testkit::bench` harness (offline, zero
+//! external crates).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ulp_bench::cosim::{run_cosim, CosimConfig};
+use ulp_bench::cosim::{run_cosim_event, CosimConfig};
 use ulp_bench::fleet::{Cell, Coords, Sweep};
 use ulp_bench::store::{run_stored, Store};
 
@@ -40,7 +39,7 @@ fn build_small_cosim_sweep() -> Sweep<CosimConfig> {
 }
 
 fn eval(_: &Coords, cfg: &CosimConfig) -> Vec<Cell> {
-    let s = run_cosim(cfg);
+    let s = run_cosim_event(cfg);
     vec![Cell::U64(s.sent), Cell::F64(s.energy_j)]
 }
 
@@ -78,7 +77,6 @@ fn run_warm(sweep: &Sweep<CosimConfig>, store: &mut Store) -> usize {
     results.rows().len()
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let sweep = build_small_cosim_sweep();
@@ -98,36 +96,4 @@ fn main() {
     h.finish();
     drop(warm_store);
     let _ = std::fs::remove_dir_all(&warm_dir);
-}
-
-#[cfg(feature = "criterion-bench")]
-mod with_criterion {
-    use super::*;
-    use criterion::{criterion_group, Criterion, Throughput};
-
-    fn bench_store(c: &mut Criterion) {
-        let mut g = c.benchmark_group("store");
-        let sweep = build_small_cosim_sweep();
-        let warm_dir = fresh_dir();
-        let mut warm_store = Store::open(&warm_dir).expect("open warm store");
-        run_stored(&sweep, &mut warm_store, 2, None, key_of, eval, &()).expect("prefill");
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(sweep.len() as u64));
-        g.bench_function("campaign_small/cold_miss", |b| b.iter(|| run_cold(&sweep)));
-        g.bench_function("campaign_small/warm_hit", |b| {
-            b.iter(|| run_warm(&sweep, &mut warm_store))
-        });
-        g.finish();
-        let _ = std::fs::remove_dir_all(&warm_dir);
-    }
-
-    criterion_group!(benches, bench_store);
-}
-
-#[cfg(feature = "criterion-bench")]
-fn main() {
-    with_criterion::benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -26,72 +26,46 @@
 
 use std::process::exit;
 
+use ulp_bench::campaign::{exit_on_error, scan};
 use ulp_bench::{epcheck, mcu8check};
 
-fn usage() -> ! {
-    eprintln!("usage: epcheck [--mcu8] [--fixture] [--check]");
-    exit(2);
-}
-
 fn main() {
-    let mut fixture = false;
-    let mut check = false;
-    let mut mcu8 = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
+    let (mut fixture, mut check, mut mcu8) = (false, false, false);
+    let scanned = scan(std::env::args().skip(1), |flag, _| {
+        match flag {
             "--fixture" => fixture = true,
             "--check" => check = true,
             "--mcu8" => mcu8 = true,
-            _ => usage(),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
+    exit_on_error("usage: epcheck [--mcu8] [--fixture] [--check]", scanned);
 
+    // Both checkers render the same three things.
+    type Render = fn() -> String;
+    let (what, shipped, fixtures, errors): (&str, Render, Render, fn() -> usize) = if mcu8 {
+        use mcu8check::{render_fixture, render_shipped, shipped_errors};
+        ("mcu8check", render_shipped, render_fixture, shipped_errors)
+    } else {
+        use epcheck::{render_fixture, render_shipped, shipped_errors};
+        ("epcheck", render_shipped, render_fixture, shipped_errors)
+    };
     if check {
-        if mcu8 {
-            assert_eq!(
-                mcu8check::render_shipped(),
-                mcu8check::render_shipped(),
-                "shipped report is not deterministic"
-            );
-            assert_eq!(
-                mcu8check::render_fixture(),
-                mcu8check::render_fixture(),
-                "fixture report is not deterministic"
-            );
-        } else {
-            assert_eq!(
-                epcheck::render_shipped(),
-                epcheck::render_shipped(),
-                "shipped report is not deterministic"
-            );
-            assert_eq!(
-                epcheck::render_fixture(),
-                epcheck::render_fixture(),
-                "fixture report is not deterministic"
-            );
-        }
-        let what = if mcu8 { "mcu8check" } else { "epcheck" };
+        assert_eq!(shipped(), shipped(), "shipped report is not deterministic");
+        assert_eq!(
+            fixtures(),
+            fixtures(),
+            "fixture report is not deterministic"
+        );
         println!("{what} --check: both reports byte-identical across two runs");
     }
-
     if fixture {
-        if mcu8 {
-            print!("{}", mcu8check::render_fixture());
-        } else {
-            print!("{}", epcheck::render_fixture());
-        }
+        print!("{}", fixtures());
         return;
     }
-
-    if mcu8 {
-        print!("{}", mcu8check::render_shipped());
-        if mcu8check::shipped_errors() > 0 {
-            exit(1);
-        }
-    } else {
-        print!("{}", epcheck::render_shipped());
-        if epcheck::shipped_errors() > 0 {
-            exit(1);
-        }
+    print!("{}", shipped());
+    if errors() > 0 {
+        exit(1);
     }
 }

@@ -12,78 +12,57 @@
 //! cargo run --release -p ulp-bench --bin fleet -- --dense --nodes 10000
 //! ```
 //!
-//! Flags:
+//! Grid flags:
 //!
-//! * `--nodes A[,B,…]` — node counts to sweep (default `64`; `1024`
-//!   with `--dense`)
-//! * `--loss  A[,B,…]` — loss probabilities to sweep (default `0.1`)
+//! * `--nodes A[,B,…]` — node counts to sweep, each ≥ 1 (default `64`;
+//!   `1024` with `--dense`)
+//! * `--loss  A[,B,…]` — loss probabilities to sweep, in `[0, 1]`
+//!   (default `0.1`)
 //! * `--seeds N`       — seeds `0..N` per cell (default `8`; `1` with
 //!   `--dense`)
 //! * `--slots N`       — horizon in 10 µs co-sim slots (default `12000`;
 //!   `20000` with `--dense`)
-//! * `--threads N`     — worker count (default `ULP_FLEET_THREADS`, else
-//!   the machine's available parallelism)
 //! * `--dense`         — spatial dense-network mode: tiles of 64 nodes
 //!   on the event-wheel [`SpatialMedium`](ulp_net::SpatialMedium), one
 //!   grid point per tile, aggregated per scenario (see
 //!   [`ulp_bench::dense`])
-//! * `--density A[,B,…]` — (`--dense` only) nodes per hectare
-//!   (default `25`)
-//! * `--duty A[,B,…]`  — (`--dense` only) sample period in cycles
-//!   (default `5000`)
-//! * `--csv PATH` / `--json PATH` — write the machine-readable results
-//! * `--check`         — run the whole sweep twice (1 worker, then N),
-//!   assert CSV and JSON byte-identity, validate the JSON with the
-//!   in-tree parser, and report points/sec serial vs parallel; then run
-//!   it twice more through a campaign store (cold fill, reopened warm
-//!   serve) asserting the stored passes emit the same bytes and the
-//!   warm pass executes zero points
-//! * `--progress`      — stream NDJSON heartbeats (points done/total,
-//!   points/sec, ETA, current coordinates) on **stderr** while the grid
-//!   drains; stdout, CSV, and JSON bytes are untouched
-//! * `--store DIR`     — serve grid points from the content-addressed
-//!   campaign store at DIR, execute and append only the misses
-//!   (see [`ulp_bench::store`]); an interrupted campaign re-run with
-//!   the same store resumes where it died
-//! * `--store-stats`   — print the store's NDJSON stats line
-//!   (records/torn/corrupt/hits/misses/collisions/appended) on stderr
-//! * `--shard K/N`     — fill mode: run only grid points `i ≡ K (mod N)`
-//!   and append them to the store (requires `--store`; no stdout
-//!   artifacts) so N independent processes can split one campaign
-//! * `--merge`         — after shard fills, emit the canonical full-grid
-//!   artifacts from the store (alias for a plain `--store` run)
+//! * `--density A[,B,…]` — (`--dense` only) nodes per hectare, each
+//!   positive (default `25`)
+//! * `--duty A[,B,…]`  — (`--dense` only) sample period in cycles, each
+//!   ≥ 1 (default `5000`)
+//! * `--json PATH`     — write the machine-readable results as JSON
 //!
-//! A summary table and per-sweep wall-clock always go to stdout; a
-//! panicking grid point aborts with its scenario coordinates.
+//! The shared flags (`--threads`, `--csv`, `--check`, `--progress`,
+//! `--store`, `--store-stats`, `--shard`, `--merge`) and the exit codes
+//! are documented once, in [`ulp_bench::campaign`].
+//!
+//! A summary table always goes to stdout and the per-sweep wall-clock
+//! to stderr; a panicking grid point aborts with its scenario
+//! coordinates.
 
-use std::process::exit;
+use std::num::{NonZeroU16, NonZeroU64, NonZeroUsize};
+use std::path::PathBuf;
+use std::str::FromStr;
 
-use ulp_bench::cosim::{run_cosim, CosimConfig, CosimSummary};
+use ulp_bench::campaign::{
+    self, drive, exit_on_error, print_table, write_artifact, CliError, DriveConfig, Flag,
+    UnitInterval,
+};
+use ulp_bench::cosim::{run_cosim_event, CosimConfig, CosimSummary};
 use ulp_bench::dense::{self, DenseConfig};
-use ulp_bench::fleet::{self, Cell, Coords, Sweep, SweepResults};
-use ulp_bench::store::{drive, DriveConfig, Shard};
-use ulp_bench::TableWriter;
+use ulp_bench::fleet::{Cell, Coords, Sweep, SweepResults};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fleet [--dense] [--nodes A[,B,..]] [--loss A[,B,..]] \
-         [--density A[,B,..]] [--duty A[,B,..]] [--seeds N] [--slots N] \
-         [--threads N] [--csv FILE] [--json FILE] [--check] [--progress] \
-         [--store DIR] [--store-stats] [--shard K/N] [--merge]"
-    );
-    exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, raw: &str) -> Vec<T> {
-    raw.split(',')
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("{flag}: cannot parse `{s}`");
-                usage()
-            })
-        })
-        .collect()
-}
+/// This binary's own flags.
+const GRID_FLAGS: &[Flag] = &[
+    ("--dense", None),
+    ("--nodes", Some("A[,B,..]")),
+    ("--loss", Some("A[,B,..]")),
+    ("--density", Some("A[,B,..]")),
+    ("--duty", Some("A[,B,..]")),
+    ("--seeds", Some("N")),
+    ("--slots", Some("N")),
+    ("--json", Some("FILE")),
+];
 
 /// The metric columns of one co-sim grid point, in declaration order.
 const METRICS: &[&str] = &[
@@ -112,12 +91,7 @@ fn cells(s: &CosimSummary) -> Vec<Cell> {
     ]
 }
 
-fn build_sweep(
-    nodes: &[usize],
-    losses: &[f64],
-    seeds: u64,
-    slots: u64,
-) -> Sweep<CosimConfig> {
+fn build_sweep(nodes: &[usize], losses: &[f64], seeds: u64, slots: u64) -> Sweep<CosimConfig> {
     let mut sweep = Sweep::new("cosim-replication", METRICS);
     for &n in nodes {
         for &loss in losses {
@@ -141,116 +115,90 @@ fn build_sweep(
     sweep
 }
 
-/// Run a sweep through the shared campaign driver
-/// ([`ulp_bench::store::drive`]: `--check` / `--progress` / `--store` /
-/// `--shard`) and return its (thread-count-invariant) results.
-fn execute<P: Sync>(
-    sweep: &Sweep<P>,
-    cfg: &DriveConfig,
-    key_of: impl Fn(&Coords, &P) -> String + Sync,
-    eval: impl Fn(&Coords, &P) -> Vec<Cell> + Sync,
-) -> SweepResults {
-    drive(sweep, cfg, key_of, eval).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1);
-    })
-}
+/// A node density in nodes per hectare: finite and positive.
+struct Density(f64);
 
-fn main() {
-    let mut nodes: Option<Vec<usize>> = None;
-    let mut losses: Vec<f64> = vec![0.1];
-    let mut densities: Vec<f64> = vec![25.0];
-    let mut duties: Vec<u16> = vec![5_000];
-    let mut seeds: Option<u64> = None;
-    let mut slots: Option<u64> = None;
-    let mut threads: usize = fleet::fleet_threads();
-    let mut csv_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut dense_mode = false;
-    let mut check = false;
-    let mut progress = false;
-    let mut store_dir: Option<String> = None;
-    let mut store_stats = false;
-    let mut shard: Option<Shard> = None;
-    let mut merge = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--nodes" => nodes = Some(parse_list("--nodes", &value("--nodes"))),
-            "--loss" => losses = parse_list("--loss", &value("--loss")),
-            "--density" => densities = parse_list("--density", &value("--density")),
-            "--duty" => duties = parse_list("--duty", &value("--duty")),
-            "--seeds" => seeds = Some(parse_list::<u64>("--seeds", &value("--seeds"))[0]),
-            "--slots" => slots = Some(parse_list::<u64>("--slots", &value("--slots"))[0]),
-            "--threads" => threads = parse_list::<usize>("--threads", &value("--threads"))[0].max(1),
-            "--csv" => csv_path = Some(value("--csv")),
-            "--json" => json_path = Some(value("--json")),
-            "--dense" => dense_mode = true,
-            "--check" => check = true,
-            "--progress" => progress = true,
-            "--store" => store_dir = Some(value("--store")),
-            "--store-stats" => store_stats = true,
-            "--shard" => {
-                let raw = value("--shard");
-                shard = Some(Shard::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("--shard: `{raw}` is not K/N with K < N");
-                    usage()
-                }));
-            }
-            "--merge" => merge = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
+impl FromStr for Density {
+    type Err = &'static str;
+    fn from_str(s: &str) -> Result<Density, &'static str> {
+        match s.parse::<f64>() {
+            Ok(d) if d.is_finite() && d > 0.0 => Ok(Density(d)),
+            _ => Err("not a positive number of nodes per hectare"),
         }
     }
-    let nodes = nodes.unwrap_or_else(|| vec![if dense_mode { 1_024 } else { 64 }]);
-    let seeds = seeds.unwrap_or(if dense_mode { 1 } else { 8 });
-    let slots = slots.unwrap_or(if dense_mode {
+}
+
+/// A parsed command line.
+struct Cli {
+    dense: bool,
+    nodes: Vec<usize>,
+    losses: Vec<f64>,
+    densities: Vec<f64>,
+    duties: Vec<u16>,
+    seeds: u64,
+    slots: u64,
+    json: Option<PathBuf>,
+    drive: DriveConfig,
+}
+
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
+    let mut dense = false;
+    let mut nodes: Option<Vec<NonZeroUsize>> = None;
+    let mut losses = vec![UnitInterval(0.1)];
+    let mut densities = vec![Density(25.0)];
+    let mut duties: Option<Vec<NonZeroU16>> = None;
+    let mut seeds: Option<NonZeroU64> = None;
+    let mut slots: Option<NonZeroU64> = None;
+    let mut json = None;
+    let config = campaign::parse(argv, |flag, args| {
+        match flag {
+            "--dense" => dense = true,
+            "--nodes" => nodes = Some(args.list(flag)?),
+            "--loss" => losses = args.list(flag)?,
+            "--density" => densities = args.list(flag)?,
+            "--duty" => duties = Some(args.list(flag)?),
+            "--seeds" => seeds = Some(args.one(flag)?),
+            "--slots" => slots = Some(args.one(flag)?),
+            "--json" => json = Some(args.value(flag)?.into()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let default_slots = if dense {
         DenseConfig::default().horizon_slots
     } else {
         CosimConfig::default().horizon_slots
-    });
-    if nodes.is_empty() || losses.is_empty() || densities.is_empty() || duties.is_empty() || seeds == 0
-    {
-        eprintln!("empty grid");
-        usage();
-    }
-    if (shard.is_some() || merge) && store_dir.is_none() {
-        eprintln!("--shard/--merge need --store DIR (the shared campaign store)");
-        usage();
-    }
-    if shard.is_some() && (check || merge) {
-        eprintln!("--shard is a fill mode; run --check/--merge unsharded");
-        usage();
-    }
-    let drive_cfg = DriveConfig {
-        threads,
-        check,
-        progress,
-        store_dir: store_dir.map(Into::into),
-        store_stats,
-        shard,
     };
-    // A shard worker only fills the store: its partial grid must not be
-    // mistaken for campaign output, so stdout artifacts are suppressed
-    // and the summary goes to stderr (from the driver).
-    let fill_only = shard.is_some();
+    Ok(Cli {
+        dense,
+        nodes: nodes.map_or(vec![if dense { 1_024 } else { 64 }], |n| {
+            n.into_iter().map(NonZeroUsize::get).collect()
+        }),
+        losses: losses.into_iter().map(|l| l.0).collect(),
+        densities: densities.into_iter().map(|d| d.0).collect(),
+        duties: duties.map_or(vec![5_000], |d| {
+            d.into_iter().map(NonZeroU16::get).collect()
+        }),
+        seeds: seeds.map_or(if dense { 1 } else { 8 }, NonZeroU64::get),
+        slots: slots.map_or(default_slots, NonZeroU64::get),
+        json,
+        drive: config,
+    })
+}
 
-    if dense_mode {
+fn run(cli: Cli) -> Result<(), CliError> {
+    let (nodes, seeds, slots, threads) = (&cli.nodes, cli.seeds, cli.slots, cli.drive.threads);
+    let finish = |results: &SweepResults| {
+        cli.drive.finish(results)?;
+        write_artifact(cli.json.as_deref(), || results.to_json())
+    };
+
+    if cli.dense {
         let base_seed = DenseConfig::default().seed;
         let mut scenarios = Vec::new();
-        for &n in &nodes {
-            for &density in &densities {
-                for &duty in &duties {
+        for &n in nodes {
+            for &density in &cli.densities {
+                for &duty in &cli.duties {
                     for seed in 0..seeds {
                         scenarios.push(DenseConfig {
                             nodes: n,
@@ -266,81 +214,125 @@ fn main() {
         let sweep = dense::dense_sweep(&scenarios);
         eprintln!(
             "fleet --dense: {} tiles over {} scenario(s) (nodes {nodes:?} x density \
-             {densities:?} x duty {duties:?} x {seeds} seed(s)), {slots} slots each, \
-             {threads} worker(s)",
+             {:?} x duty {:?} x {seeds} seed(s)), {slots} slots each, {threads} worker(s)",
             sweep.len(),
-            scenarios.len()
+            scenarios.len(),
+            cli.densities,
+            cli.duties
         );
-        let results = execute(&sweep, &drive_cfg, dense::dense_store_key, dense::dense_eval);
-        if !fill_only {
-            print!("{}", dense::dense_report(&results));
-            finish(&results, csv_path.as_deref(), json_path.as_deref());
-        }
-        return;
+        let Some(results) = drive(
+            &sweep,
+            &cli.drive,
+            dense::dense_store_key,
+            dense::dense_eval,
+        )?
+        else {
+            return Ok(());
+        };
+        print!("{}", dense::dense_report(&results));
+        return finish(&results);
     }
 
-    let sweep = build_sweep(&nodes, &losses, seeds, slots);
+    let sweep = build_sweep(nodes, &cli.losses, seeds, slots);
     eprintln!(
-        "fleet: {} grid points (nodes {nodes:?} x loss {losses:?} x {seeds} seeds), \
+        "fleet: {} grid points (nodes {nodes:?} x loss {:?} x {seeds} seeds), \
          {slots} slots each, {threads} worker(s)",
-        sweep.len()
+        sweep.len(),
+        cli.losses
     );
-
-    let results = execute(
+    // The store key names the driver: rows cached from the slot-stepped
+    // driver (whose energy differs in the last digits) are never served.
+    let Some(results) = drive(
         &sweep,
-        &drive_cfg,
-        |_: &Coords, cfg: &CosimConfig| cfg.store_key(),
-        |_: &Coords, cfg| cells(&run_cosim(cfg)),
+        &cli.drive,
+        |_: &Coords, cfg: &CosimConfig| format!("{};driver=event", cfg.store_key()),
+        |_: &Coords, cfg| cells(&run_cosim_event(cfg)),
+    )?
+    else {
+        return Ok(());
+    };
+    print_table(
+        &results,
+        &[
+            ("Nodes", "nodes"),
+            ("Loss", "loss"),
+            ("Seed", "seed"),
+            ("Sent", "sent"),
+            ("Heard", "heard"),
+            ("Lost", "lost"),
+            ("Wakeups", "mcu_wakeups"),
+            ("Energy", "energy_j"),
+            ("p99", "service_p99"),
+        ],
     );
-    if fill_only {
-        return;
-    }
-
-    let mut t = TableWriter::new(&[
-        "Nodes", "Loss", "Seed", "Sent", "Heard", "Lost", "Wakeups", "Energy", "p99",
-    ]);
-    for row in results.rows() {
-        let col = |name: &str| {
-            results.columns().iter().position(|c| c == name).expect("column")
-        };
-        let cell = |name: &str| row[col(name)].to_string();
-        let energy = match &row[col("energy_j")] {
-            Cell::F64(j) => format!("{:.3} uJ", j * 1e6),
-            other => other.to_string(),
-        };
-        t.row(&[
-            cell("nodes"),
-            cell("loss"),
-            cell("seed"),
-            cell("sent"),
-            cell("heard"),
-            cell("lost"),
-            cell("mcu_wakeups"),
-            energy,
-            cell("service_p99"),
-        ]);
-    }
-    t.print();
-    finish(&results, csv_path.as_deref(), json_path.as_deref());
+    finish(&results)
 }
 
-/// Wall-clock summary plus the machine-readable exports, shared by both
-/// modes. Timing goes to stderr with the other non-deterministic lines:
-/// stdout must stay byte-identical across runs (the --progress gate in
-/// scripts/verify.sh cmp's it).
-fn finish(results: &SweepResults, csv_path: Option<&str>, json_path: Option<&str>) {
-    eprintln!(
-        "\n{} points in {:.3} s on {} worker(s)",
-        results.rows().len(),
-        results.elapsed().as_secs_f64(),
-        results.threads()
-    );
-    if let Some(path) = csv_path {
-        std::fs::write(path, results.to_csv()).expect("write --csv");
-        eprintln!("wrote {path}");
+fn main() {
+    let usage = campaign::usage("fleet", GRID_FLAGS);
+    exit_on_error(&usage, parse(std::env::args().skip(1)).and_then(run));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ulp_bench::campaign::arb_argv;
+    use ulp_testkit::prop_assert;
+
+    fn parse_strs(argv: &[&str]) -> Result<Cli, CliError> {
+        parse(argv.iter().map(|s| s.to_string()))
     }
-    if let Some(path) = json_path {
-        std::fs::write(path, results.to_json()).expect("write --json");
-        eprintln!("wrote {path}");
+
+    #[test]
+    fn defaults_depend_on_the_mode() {
+        let cli = parse_strs(&[]).unwrap();
+        assert_eq!((cli.nodes, cli.seeds, cli.slots), (vec![64], 8, 12_000));
+        assert_eq!(cli.losses, [0.1]);
+        let cli = parse_strs(&["--dense"]).unwrap();
+        assert_eq!((cli.nodes, cli.seeds, cli.slots), (vec![1_024], 1, 20_000));
+        assert_eq!((cli.densities, cli.duties), (vec![25.0], vec![5_000]));
+        let cli = parse_strs(&["--nodes", "16, 32", "--loss", "0,1", "--seeds", "2"]).unwrap();
+        assert_eq!(
+            (cli.nodes, cli.losses, cli.seeds),
+            (vec![16, 32], vec![0.0, 1.0], 2)
+        );
+    }
+
+    #[test]
+    fn bad_grid_values_are_usage_errors() {
+        for argv in [
+            &["--threads", "0"][..],
+            &["--slots", "0"],
+            &["--seeds", "1,5"],
+            &["--seeds", "0"],
+            &["--nodes", "0"],
+            &["--nodes", "16,"],
+            &["--loss", "2"],
+            &["--loss", "nan"],
+            &["--dense", "--duty", "0"],
+            &["--dense", "--density", "0"],
+            &["--dense", "--density", "-5"],
+            &["--dense", "--density", "inf"],
+            &["--json"],
+            &["--nodes", "16", "extra"],
+        ] {
+            let err = parse_strs(argv).err();
+            assert!(matches!(err, Some(CliError::Usage(_))), "{argv:?}: {err:?}");
+        }
+    }
+
+    ulp_testkit::props! {
+        /// Generated command lines parse to a campaign or a typed error,
+        /// never a panic; an accepted one respects every grid rule.
+        #[test]
+        fn parser_never_panics(argv in arb_argv(GRID_FLAGS)) {
+            if let Ok(cli) = parse(argv) {
+                prop_assert!(cli.seeds > 0 && cli.slots > 0);
+                prop_assert!(cli.nodes.iter().all(|&n| n > 0));
+                prop_assert!(cli.losses.iter().all(|l| (0.0..=1.0).contains(l)));
+                prop_assert!(cli.densities.iter().all(|d| d.is_finite() && *d > 0.0));
+                prop_assert!(cli.duties.iter().all(|&d| d > 0));
+            }
+        }
     }
 }

@@ -25,70 +25,51 @@
 //! The metrics summary always goes to stdout. Open the JSON in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use std::process::exit;
+use std::path::PathBuf;
 
+use ulp_bench::campaign::{exit_on_error, scan, usage_error, write_artifact, CliError};
 use ulp_bench::{perf, tracegen};
 use ulp_sim::telemetry::validate_json;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace [--app stage4|mica2|net] [--cycles N] [--seed N] \
-         [--out FILE.json] [--csv FILE.csv] [--summary FILE.txt] [--check] [--perf]"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage: trace [--app stage4|mica2|net] [--cycles N] [--seed N] \
+     [--out FILE.json] [--csv FILE.csv] [--summary FILE.txt] [--check] [--perf]";
 
 fn main() {
+    exit_on_error(USAGE, run(std::env::args().skip(1)));
+}
+
+fn run(argv: impl IntoIterator<Item = String>) -> Result<(), CliError> {
     let mut app = String::from("stage4");
     let mut cycles: Option<u64> = None;
     let mut seed: Option<u64> = None;
-    let mut out: Option<String> = None;
-    let mut csv: Option<String> = None;
-    let mut summary: Option<String> = None;
+    let mut out: Option<PathBuf> = None;
+    let mut csv: Option<PathBuf> = None;
+    let mut summary: Option<PathBuf> = None;
     let mut check = false;
     let mut with_perf = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage()
-        });
-        match arg.as_str() {
-            "--app" => app = value("--app"),
-            "--cycles" => {
-                cycles = Some(value("--cycles").parse().unwrap_or_else(|e| {
-                    eprintln!("--cycles: {e}");
-                    usage()
-                }))
-            }
-            "--seed" => {
-                seed = Some(value("--seed").parse().unwrap_or_else(|e| {
-                    eprintln!("--seed: {e}");
-                    usage()
-                }))
-            }
-            "--out" => out = Some(value("--out")),
-            "--csv" => csv = Some(value("--csv")),
-            "--summary" => summary = Some(value("--summary")),
+    scan(argv, |flag, args| {
+        match flag {
+            "--app" => app = args.value(flag)?,
+            "--cycles" => cycles = Some(args.one(flag)?),
+            "--seed" => seed = Some(args.one(flag)?),
+            "--out" => out = Some(args.value(flag)?.into()),
+            "--csv" => csv = Some(args.value(flag)?.into()),
+            "--summary" => summary = Some(args.value(flag)?.into()),
             "--check" => check = true,
             "--perf" => with_perf = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if !matches!(app.as_str(), "stage4" | "mica2" | "net") {
-        eprintln!("unknown app `{app}`");
-        usage();
+        return Err(usage_error(format!("unknown app `{app}`")));
     }
     let cycles = cycles.unwrap_or_else(|| tracegen::default_horizon(&app));
     let seed = seed.unwrap_or_else(|| tracegen::default_seed(&app));
     if with_perf && app == "net" {
-        eprintln!("--perf supports stage4|mica2 (net steps its nodes manually)");
-        usage();
+        return Err(usage_error(
+            "--perf supports stage4|mica2 (net steps its nodes manually)",
+        ));
     }
 
     let (export, perf_snapshot) = if with_perf {
@@ -100,7 +81,10 @@ fn main() {
     if check {
         if let Some(snap) = &perf_snapshot {
             let (again, snap2) = tracegen::run_perf(&app, cycles, seed);
-            assert_eq!(export.json, again.json, "profiled JSON must be deterministic");
+            assert_eq!(
+                export.json, again.json,
+                "profiled JSON must be deterministic"
+            );
             assert_eq!(export.csv, again.csv, "CSV export must be deterministic");
             assert_eq!(
                 export.summary, again.summary,
@@ -115,7 +99,10 @@ fn main() {
             // CSV and summary exactly as the unprofiled run produces.
             let plain = tracegen::run(&app, cycles, seed);
             assert_eq!(export.csv, plain.csv, "profiling changed the CSV");
-            assert_eq!(export.summary, plain.summary, "profiling changed the summary");
+            assert_eq!(
+                export.summary, plain.summary,
+                "profiling changed the summary"
+            );
         } else {
             let again = tracegen::run(&app, cycles, seed);
             assert_eq!(export.json, again.json, "JSON export must be deterministic");
@@ -125,27 +112,17 @@ fn main() {
                 "summary must be deterministic"
             );
         }
-        if let Err(e) = validate_json(&export.json) {
-            eprintln!("trace JSON failed validation: {e}");
-            exit(1);
-        }
+        validate_json(&export.json)
+            .map_err(|e| CliError::Runtime(format!("trace JSON failed validation: {e}")))?;
         eprintln!("check ok: double run byte-identical, JSON well-formed");
     }
-    if let Some(path) = &out {
-        std::fs::write(path, &export.json).expect("write --out");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &csv {
-        std::fs::write(path, &export.csv).expect("write --csv");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &summary {
-        std::fs::write(path, &export.summary).expect("write --summary");
-        eprintln!("wrote {path}");
-    }
+    write_artifact(out.as_deref(), || export.json.clone())?;
+    write_artifact(csv.as_deref(), || export.csv.clone())?;
+    write_artifact(summary.as_deref(), || export.summary.clone())?;
     print!("{}", export.summary);
     if let Some(snap) = &perf_snapshot {
         println!();
         print!("{}", perf::render_report(snap));
     }
+    Ok(())
 }

@@ -51,17 +51,20 @@ pub enum ChaosApp {
     Forwarding,
 }
 
-impl ChaosApp {
-    /// Parse a CLI name (`app1`/`app2`/`app3`).
-    pub fn parse(s: &str) -> Option<ChaosApp> {
+/// Parses a CLI name (`app1`/`app2`/`app3`).
+impl std::str::FromStr for ChaosApp {
+    type Err = &'static str;
+    fn from_str(s: &str) -> Result<ChaosApp, &'static str> {
         match s {
-            "app1" => Some(ChaosApp::Sample),
-            "app2" => Some(ChaosApp::Filtered),
-            "app3" => Some(ChaosApp::Forwarding),
-            _ => None,
+            "app1" => Ok(ChaosApp::Sample),
+            "app2" => Ok(ChaosApp::Filtered),
+            "app3" => Ok(ChaosApp::Forwarding),
+            _ => Err("unknown app (app1|app2|app3)"),
         }
     }
+}
 
+impl ChaosApp {
     /// The CLI / CSV name.
     pub fn name(&self) -> &'static str {
         match self {

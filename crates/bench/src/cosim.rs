@@ -103,10 +103,14 @@ pub struct CosimSummary {
     pub irqs_serviced: u64,
 }
 
-/// Run one co-simulation grid point to completion. Deterministic: the
-/// summary is a pure function of `cfg` (double-run asserted in
-/// `tests/fleet.rs`, thread-count invariance by the fleet engine's
-/// `--check` mode).
+/// Run one co-simulation grid point to completion by polling every node
+/// every slot. Deterministic: the summary is a pure function of `cfg`.
+///
+/// This slot-stepped driver is the **test oracle** for
+/// [`run_cosim_event`], which every production caller uses:
+/// `tests/net_scale.rs` and this module's unit tests compare the two,
+/// and `benches/net.rs` keeps it as the baseline the event wheel is
+/// measured against.
 ///
 /// # Panics
 ///
@@ -355,7 +359,7 @@ mod tests {
             horizon_slots: 9_000,
             ..CosimConfig::default()
         };
-        let s = run_cosim(&cfg);
+        let s = run_cosim_event(&cfg);
         assert!(s.sent > 0, "head node must transmit: {s:?}");
         assert!(s.heard > 0, "flood must reach the base station: {s:?}");
         assert!(s.lost > 0, "10% loss over this horizon must drop frames");
@@ -378,7 +382,7 @@ mod tests {
             horizon_slots: 7_000,
             ..CosimConfig::default()
         };
-        assert_eq!(run_cosim(&cfg), run_cosim(&cfg));
+        assert_eq!(run_cosim_event(&cfg), run_cosim_event(&cfg));
     }
 
     /// The event-wheel driver is a drop-in replacement: every integer
@@ -420,8 +424,8 @@ mod tests {
             horizon_slots: 7_000,
             ..CosimConfig::default()
         };
-        let a = run_cosim(&cfg);
-        let b = run_cosim(&CosimConfig { seed: 8, ..cfg });
+        let a = run_cosim_event(&cfg);
+        let b = run_cosim_event(&CosimConfig { seed: 8, ..cfg });
         assert_ne!(a, b, "different seeds must draw different losses");
     }
 }

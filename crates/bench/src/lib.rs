@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 //! Shared measurement harness for the table/figure regeneration binaries
-//! and the Criterion benches.
+//! and the benches.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that prints the paper's rows next to our measured values:
@@ -31,6 +31,8 @@
 //! byte-identical whatever `ULP_FLEET_THREADS` says; and `chaos` runs
 //! deterministic fault-injection campaigns (see [`chaos`]) on the same
 //! engine, asserting the graceful-degradation invariants per grid point.
+//! Both share one command-line front end and driver, [`campaign`]: its
+//! flag table and exit-code contract are documented there once.
 //!
 //! The measurement functions live here so integration tests can assert
 //! on the same numbers the binaries print, and the deterministic report
@@ -45,6 +47,7 @@
 //! identical to a cold run — campaigns become resumable and re-runs
 //! touch only the dirty points.
 
+pub mod campaign;
 pub mod chaos;
 pub mod cosim;
 pub mod dense;

@@ -53,9 +53,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::fleet::{self, json_string, Cell, Coords, FleetError, Sweep, SweepObserver, SweepResults};
-use crate::perf::ProgressMeter;
-use ulp_sim::telemetry::validate_json;
+use crate::fleet::{json_string, Cell, Coords, FleetError, Sweep, SweepObserver, SweepResults};
 use ulp_testkit::digest::{digest64, hex16, parse_hex16};
 
 // ---------------------------------------------------------------------
@@ -630,17 +628,19 @@ pub struct Shard {
     pub of: usize,
 }
 
-impl Shard {
-    /// Parse the `--shard k/n` syntax.
-    pub fn parse(s: &str) -> Option<Shard> {
-        let (k, n) = s.split_once('/')?;
-        let shard = Shard {
-            index: k.trim().parse().ok()?,
-            of: n.trim().parse().ok()?,
-        };
-        (shard.of >= 1 && shard.index < shard.of).then_some(shard)
+/// Parses the `--shard k/n` syntax.
+impl std::str::FromStr for Shard {
+    type Err = &'static str;
+    fn from_str(s: &str) -> Result<Shard, &'static str> {
+        let parse = |part: &str| part.trim().parse().ok();
+        match s.split_once('/').map(|(k, n)| (parse(k), parse(n))) {
+            Some((Some(index), Some(of))) if index < of => Ok(Shard { index, of }),
+            _ => Err("not K/N with K < N"),
+        }
     }
+}
 
+impl Shard {
     /// Whether grid point `i` belongs to this shard.
     pub fn contains(&self, i: usize) -> bool {
         i % self.of == self.index
@@ -799,186 +799,10 @@ where
     ))
 }
 
-// ---------------------------------------------------------------------
-// Campaign driver (shared by the fleet and chaos binaries)
-// ---------------------------------------------------------------------
-
-/// Everything the `fleet`/`chaos` command lines configure about one
-/// campaign execution: worker count, the `--check` double/stored runs,
-/// `--progress` heartbeats, and the store flags.
-#[derive(Debug, Clone, Default)]
-pub struct DriveConfig {
-    /// Worker thread count.
-    pub threads: usize,
-    /// `--check`: serial-vs-parallel byte identity plus the stored
-    /// third pass (cold into the store, then fully warm; all four
-    /// executions must serialize identically).
-    pub check: bool,
-    /// `--progress`: stream NDJSON heartbeats on stderr.
-    pub progress: bool,
-    /// `--store DIR`: serve hits from / append misses to this store.
-    /// `--check` without a store uses an ephemeral directory.
-    pub store_dir: Option<PathBuf>,
-    /// `--store-stats`: print the store's NDJSON stats line on stderr
-    /// after each stored pass.
-    pub store_stats: bool,
-    /// `--shard k/n`: fill mode — run only this shard's points.
-    pub shard: Option<Shard>,
-}
-
-fn open_store(dir: &Path) -> Store {
-    Store::open(dir)
-        .unwrap_or_else(|e| panic!("campaign store {}: cannot open: {e}", dir.display()))
-}
-
-/// Run one campaign sweep with the shared `--check` / `--progress` /
-/// `--store` machinery and return its (thread-count-invariant) results.
-/// This is the single execution path behind both the `fleet` and
-/// `chaos` binaries; all diagnostics go to stderr so stdout artifacts
-/// stay byte-identical across every mode.
-///
-/// # Panics
-///
-/// Panics if a `--check` pass breaks byte identity, if the JSON export
-/// fails validation, if a warm stored pass failed to serve every point,
-/// or if the store itself cannot be opened or written.
-pub fn drive<P: Sync, K, F>(
-    sweep: &Sweep<P>,
-    cfg: &DriveConfig,
-    key_of: K,
-    eval: F,
-) -> Result<SweepResults, FleetError>
-where
-    K: Fn(&Coords, &P) -> String + Sync,
-    F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
-{
-    let selected = match cfg.shard {
-        Some(s) => (0..sweep.len()).filter(|&i| s.contains(i)).count(),
-        None => sweep.len(),
-    };
-    // `--check` drains the grid four times: serial, parallel, stored
-    // cold, stored warm.
-    let meter_total = if cfg.check { 4 * sweep.len() } else { selected };
-    let meter = cfg
-        .progress
-        .then(|| ProgressMeter::stderr(sweep.name(), meter_total));
-    let observer: &dyn SweepObserver = match &meter {
-        Some(m) => m,
-        None => &(),
-    };
-
-    if let Some(shard) = cfg.shard {
-        assert!(!cfg.check, "--shard is a fill mode; run --check unsharded");
-        let dir = cfg
-            .store_dir
-            .as_ref()
-            .expect("--shard requires --store (validated by the binaries)");
-        let mut store = open_store(dir);
-        store.set_writer_label(&shard.label());
-        let results = run_stored(sweep, &mut store, cfg.threads, Some(shard), key_of, eval, observer)?;
-        eprintln!(
-            "shard {shard}: {} of {} point(s), {} executed, {} served",
-            results.rows().len(),
-            sweep.len(),
-            store.stats().misses,
-            store.stats().hits
-        );
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        return Ok(results);
-    }
-
-    if cfg.check {
-        let (results, speedup) =
-            fleet::measure_speedup_observed(sweep, cfg.threads, &eval, observer)?;
-        if let Err(e) = validate_json(&results.to_json()) {
-            panic!("sweep JSON failed validation: {e}");
-        }
-        eprintln!(
-            "check ok: ULP_FLEET_THREADS=1 and ={} byte-identical, JSON well-formed",
-            cfg.threads
-        );
-        eprintln!("check: {speedup}");
-
-        // Stored third pass: cold fills the store (or reuses a given
-        // one), then a reopened warm pass must serve every point; all
-        // passes must serialize to the same bytes as the cold run.
-        let (dir, ephemeral) = match &cfg.store_dir {
-            Some(d) => (d.clone(), false),
-            None => (
-                std::env::temp_dir().join(format!(
-                    "ulp-store-check-{}-{}",
-                    std::process::id(),
-                    sweep.name()
-                )),
-                true,
-            ),
-        };
-        if ephemeral {
-            let _ = fs::remove_dir_all(&dir);
-        }
-        let mut store = open_store(&dir);
-        let cold = run_stored(sweep, &mut store, cfg.threads, None, &key_of, &eval, observer)?;
-        assert_eq!(
-            (cold.to_csv(), cold.to_json()),
-            (results.to_csv(), results.to_json()),
-            "sweep `{}`: stored pass changed the output bytes",
-            sweep.name()
-        );
-        let executed = store.stats().misses;
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        drop(store);
-        let mut store = open_store(&dir);
-        let warm = run_stored(sweep, &mut store, cfg.threads, None, &key_of, &eval, observer)?;
-        assert_eq!(
-            (warm.to_csv(), warm.to_json()),
-            (results.to_csv(), results.to_json()),
-            "sweep `{}`: warm stored pass changed the output bytes",
-            sweep.name()
-        );
-        assert_eq!(
-            store.stats().misses,
-            0,
-            "sweep `{}`: warm stored pass re-executed points",
-            sweep.name()
-        );
-        eprintln!(
-            "check ok: stored pass byte-identical (cold executed {executed}, warm served {})",
-            store.stats().hits
-        );
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        if ephemeral {
-            let _ = fs::remove_dir_all(&dir);
-        }
-        return Ok(results);
-    }
-
-    if let Some(dir) = &cfg.store_dir {
-        let mut store = open_store(dir);
-        let results = run_stored(sweep, &mut store, cfg.threads, None, key_of, eval, observer)?;
-        eprintln!(
-            "store: {} executed, {} served from {}",
-            store.stats().misses,
-            store.stats().hits,
-            dir.display()
-        );
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        return Ok(results);
-    }
-
-    sweep.run_observed(cfg.threads, eval, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulp_sim::telemetry::validate_json;
 
     fn squares(n: u64) -> Sweep<u64> {
         let mut s = Sweep::new("sq", &["square", "half", "label"]);
@@ -1106,13 +930,12 @@ mod tests {
 
     #[test]
     fn shard_parse_accepts_only_valid_partitions() {
-        assert_eq!(Shard::parse("0/2"), Some(Shard { index: 0, of: 2 }));
-        assert_eq!(Shard::parse("3/4"), Some(Shard { index: 3, of: 4 }));
-        assert_eq!(Shard::parse("2/2"), None);
-        assert_eq!(Shard::parse("0/0"), None);
-        assert_eq!(Shard::parse("x/2"), None);
-        assert_eq!(Shard::parse("1"), None);
-        let s = Shard::parse("1/3").unwrap();
+        assert_eq!("0/2".parse(), Ok(Shard { index: 0, of: 2 }));
+        assert_eq!("3/4".parse(), Ok(Shard { index: 3, of: 4 }));
+        for bad in ["2/2", "0/0", "x/2", "1"] {
+            assert!(bad.parse::<Shard>().is_err(), "{bad}");
+        }
+        let s: Shard = "1/3".parse().unwrap();
         assert!(!s.contains(0) && s.contains(1) && !s.contains(2) && s.contains(4));
         assert_eq!(s.label(), "s1of3");
     }

@@ -45,12 +45,14 @@ pub trait Bus {
 }
 
 /// A plain Harvard memory: word-addressed program store plus a flat byte
-/// RAM and 64 I/O latches. No interrupts.
+/// RAM, 64 I/O latches, and a one-deep interrupt latch
+/// ([`raise_irq`](FlatBus::raise_irq)).
 #[derive(Debug, Clone)]
 pub struct FlatBus {
     program: Vec<u16>,
     ram: Vec<u8>,
     io: [u8; 64],
+    irq: Option<u8>,
 }
 
 impl FlatBus {
@@ -61,6 +63,7 @@ impl FlatBus {
             program: vec![0; 65_536],
             ram: vec![0; ram_bytes],
             io: [0; 64],
+            irq: None,
         }
     }
 
@@ -99,6 +102,12 @@ impl FlatBus {
     pub fn io(&self) -> &[u8; 64] {
         &self.io
     }
+
+    /// Raise interrupt `vector`, replacing any not yet taken. The CPU
+    /// takes it at the next instruction boundary with `SREG.I` set.
+    pub fn raise_irq(&mut self, vector: u8) {
+        self.irq = Some(vector);
+    }
 }
 
 impl Bus for FlatBus {
@@ -118,6 +127,9 @@ impl Bus for FlatBus {
     }
     fn io_write(&mut self, addr: u8, value: u8) {
         self.io[addr as usize & 63] = value;
+    }
+    fn pending_irq(&mut self) -> Option<u8> {
+        self.irq.take()
     }
 }
 

@@ -890,46 +890,14 @@ mod tests {
 
     #[test]
     fn sei_sleep_and_interrupt_wakeup() {
-        struct IrqBus {
-            inner: FlatBus,
-            fire: bool,
-        }
-        impl Bus for IrqBus {
-            fn fetch(&mut self, pc: u16) -> u16 {
-                self.inner.fetch(pc)
-            }
-            fn read(&mut self, a: u16) -> u8 {
-                self.inner.read(a)
-            }
-            fn write(&mut self, a: u16, v: u8) {
-                self.inner.write(a, v)
-            }
-            fn io_read(&mut self, a: u8) -> u8 {
-                self.inner.io_read(a)
-            }
-            fn io_write(&mut self, a: u8, v: u8) {
-                self.inner.io_write(a, v)
-            }
-            fn pending_irq(&mut self) -> Option<u8> {
-                if self.fire {
-                    self.fire = false;
-                    Some(3)
-                } else {
-                    None
-                }
-            }
-        }
-        let mut bus = IrqBus {
-            inner: FlatBus::new(4096),
-            fire: false,
-        };
+        let mut bus = FlatBus::new(4096);
         // 0: sei; 1: sleep; 2: break (after wake & reti)
         // vector 3 → word 6: inc r16; reti
         for (i, w) in [0x9478u16, 0x9588, BREAK, 0, 0, 0, 0x9503, 0x9518]
             .iter()
             .enumerate()
         {
-            bus_set_word(&mut bus.inner, i, *w);
+            bus_set_word(&mut bus, i, *w);
         }
         let mut cpu = Cpu::new();
         cpu.sp = 0x0FFF;
@@ -938,7 +906,7 @@ mod tests {
         assert!(cpu.sleeping());
         let idle = cpu.step(&mut bus); // idle cycle
         assert_eq!(idle, 1);
-        bus.fire = true;
+        bus.raise_irq(3);
         let c = cpu.step(&mut bus); // interrupt entry
         assert_eq!(c, 4);
         assert!(!cpu.sleeping());

@@ -282,7 +282,6 @@ pub struct Mica2Board {
     trace: TraceBuffer,
     sent_total: u64,
     predecoded: Predecoded,
-    use_predecode: bool,
 }
 
 impl std::fmt::Debug for Mica2Board {
@@ -326,16 +325,7 @@ impl Mica2Board {
             trace: TraceBuffer::new(65_536),
             sent_total: 0,
             predecoded,
-            use_predecode: true,
         }
-    }
-
-    /// Select between predecoded-table stepping (default) and the
-    /// legacy fetch-and-decode-per-instruction path. The two are
-    /// bit-identical (pinned by the determinism suite); the toggle
-    /// exists so parity tests and benchmarks can compare them.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.use_predecode = on;
     }
 
     /// The typed trace buffer (enable to record IRQ, radio, and CPU
@@ -733,12 +723,7 @@ impl Simulatable for Mica2Board {
         }
         let mode_before = self.mode();
         let was_sleeping = self.cpu.sleeping();
-        let cycles = if self.use_predecode {
-            self.cpu.step_predecoded(&mut self.bus, &self.predecoded) as u64
-        } else {
-            self.cpu.step(&mut self.bus) as u64
-        };
-        let cycles = cycles.max(1);
+        let cycles = (self.cpu.step_predecoded(&mut self.bus, &self.predecoded) as u64).max(1);
         self.now += Cycles(cycles);
         self.bus.now = self.now.0;
         self.bus.cpu_sleeping = self.cpu.sleeping();

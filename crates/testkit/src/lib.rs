@@ -16,7 +16,7 @@
 //!   greedy shrinking) with a `ULP_PROPTEST_CASES` knob and failing-seed
 //!   reporting via `ULP_PROPTEST_SEED`.
 //! * [`mod@bench`] — a plain `std::time::Instant` micro-benchmark harness,
-//!   the default stand-in for Criterion in `ulp-bench`'s bench targets.
+//!   the stand-in for Criterion in `ulp-bench`'s bench targets.
 //! * [`digest`] — a stable byte-serial 64-bit content digest
 //!   ([`Digest64`]), the keying and checksum primitive of the on-disk
 //!   campaign store (`ulp_bench::store`).

@@ -21,36 +21,9 @@
 //! (upper bound covers runs over several data seeds).
 
 use ulp_isa::asm::Image;
-use ulp_mcu8::{assemble, Bus, Cpu, FlatBus, SREG_I};
+use ulp_mcu8::{assemble, Cpu, FlatBus, SREG_I};
 use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
 use ulp_verify::{check_firmware, FirmwareConfig, FirmwareReport, WcetBound};
-
-/// [`FlatBus`] plus a one-shot pending interrupt the harness arms.
-struct IrqBus {
-    bus: FlatBus,
-    pending: Option<u8>,
-}
-
-impl Bus for IrqBus {
-    fn fetch(&mut self, pc: u16) -> u16 {
-        self.bus.fetch(pc)
-    }
-    fn read(&mut self, addr: u16) -> u8 {
-        self.bus.read(addr)
-    }
-    fn write(&mut self, addr: u16, value: u8) {
-        self.bus.write(addr, value)
-    }
-    fn io_read(&mut self, addr: u8) -> u8 {
-        self.bus.io_read(addr)
-    }
-    fn io_write(&mut self, addr: u8, value: u8) {
-        self.bus.io_write(addr, value)
-    }
-    fn pending_irq(&mut self) -> Option<u8> {
-        self.pending.take()
-    }
-}
 
 const STACK_TOP: u16 = 0x10FF;
 
@@ -85,13 +58,10 @@ struct Measured {
 /// and measure the handler. `seed_ram` lets data-driven tests steer the
 /// branches the handler will take.
 fn run_isr(image: &Image, seed_ram: &[(u16, u8)]) -> Measured {
-    let mut bus = IrqBus {
-        bus: FlatBus::new(0x1100),
-        pending: None,
-    };
-    bus.bus.load_image(image);
+    let mut bus = FlatBus::new(0x1100);
+    bus.load_image(image);
     for &(addr, value) in seed_ram {
-        bus.bus.ram_mut()[addr as usize] = value;
+        bus.ram_mut()[addr as usize] = value;
     }
     let mut cpu = Cpu::new();
     cpu.sp = STACK_TOP;
@@ -102,7 +72,7 @@ fn run_isr(image: &Image, seed_ram: &[(u16, u8)]) -> Measured {
         cpu.step(&mut bus);
     }
     assert!(cpu.flag(SREG_I), "main never enabled interrupts");
-    bus.pending = Some(1);
+    bus.raise_irq(1);
     let sp0 = cpu.sp;
     let mut min_sp = sp0;
     let dispatch = cpu.step(&mut bus);

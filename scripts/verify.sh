@@ -130,6 +130,36 @@ cargo run -q --release -p ulp-bench --bin fleet --offline -- \
 cmp "$trace_out/fleet_nostore.out" "$trace_out/fleet_merge.out"
 grep -q '"misses":0' "$trace_out/fleet_merge.err"
 
+echo "== campaign CLIs reject bad input without panicking =="
+# The exit-code contract of ulp_bench::campaign: a usage error exits 2
+# and runs nothing; a store or artifact that cannot be opened or written
+# exits 1 with one message. A panic (101) fails the gate.
+while read -r want bin args; do
+  got=0
+  # shellcheck disable=SC2086 # the argument lists have no spaces or globs
+  cargo run -q --release -p ulp-bench --bin "$bin" --offline -- $args \
+    < /dev/null > /dev/null 2>&1 || got=$?
+  if [ "$got" != "$want" ]; then
+    echo "expected exit $want, got $got: $bin $args" >&2
+    exit 1
+  fi
+done <<'CASES'
+1 fleet --store /dev/null/x --nodes 4 --seeds 1 --slots 500
+1 chaos --store /dev/null/x --seeds 1 --horizon 500
+1 fleet --csv /nonexistent/d/x.csv --nodes 4 --seeds 1 --slots 500
+1 chaos --summary /nonexistent/x --seeds 1 --horizon 500
+2 chaos --seeds 1,5
+2 chaos --horizon 0
+2 fleet --loss 2
+2 fleet --loss nan
+2 fleet --threads 0
+2 fleet --slots 0
+2 fleet --nodes 0
+2 fleet --dense --duty 0
+2 fleet --dense --density 0
+2 fleet --dense --density -5
+CASES
+
 echo "== bench smoke: one iteration per bench, BENCH JSON schema-checked =="
 # Test mode (no --bench flag) runs every benchmark body once and still
 # records a single timing; ULP_BENCH_DIR makes each harness emit its

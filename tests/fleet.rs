@@ -6,7 +6,7 @@
 //! binary ships, double-run across thread counts with its JSON checked
 //! by the in-tree validator.
 
-use ulp_bench::cosim::{run_cosim, CosimConfig};
+use ulp_bench::cosim::{run_cosim_event, CosimConfig};
 use ulp_bench::fleet::{measure_speedup, Cell, Coords, Sweep};
 use ulp_node::sim::telemetry::validate_json;
 use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
@@ -88,7 +88,7 @@ fn panicking_grid_point_is_reported_with_coordinates() {
         sweep.push(
             Coords::new().with("nodes", nodes).with("seed", seed),
             CosimConfig {
-                nodes, // nodes == 0 is invalid and panics in run_cosim
+                nodes, // nodes == 0 is invalid and panics in run_cosim_event
                 seed,
                 horizon_slots: 2_000,
                 ..CosimConfig::default()
@@ -96,7 +96,7 @@ fn panicking_grid_point_is_reported_with_coordinates() {
         );
     }
     let err = sweep
-        .run(2, |_, cfg| vec![Cell::U64(run_cosim(cfg).sent)])
+        .run(2, |_, cfg| vec![Cell::U64(run_cosim_event(cfg).sent)])
         .unwrap_err();
     std::panic::set_hook(hook);
     assert_eq!(err.failures.len(), 1, "{err}");
@@ -134,7 +134,7 @@ fn cosim_sweep_is_thread_count_invariant() {
         }
     }
     let (results, speedup) = measure_speedup(&sweep, 4, |_, cfg| {
-        let s = run_cosim(cfg);
+        let s = run_cosim_event(cfg);
         vec![
             Cell::U64(s.sent),
             Cell::U64(s.heard),
