@@ -21,12 +21,15 @@ fn run_ulp(period: u64, horizon: u64) -> u64 {
     engine.machine().busy_cycles().0
 }
 
+/// Cycles the no-skip run steps: one of them per element.
+const NO_SKIP_HORIZON: u64 = 200_000;
+
 fn run_ulp_no_skip() -> u64 {
     let prog = stages::app2(SamplePeriod::Cycles(50_000), 0);
     let sys = prog.build_system(SystemConfig::default(), Box::new(ConstSensor(128)));
     let mut engine = Engine::new(sys);
     engine.set_fast_forward(false);
-    engine.run_for(Cycles(200_000));
+    engine.run_for(Cycles(NO_SKIP_HORIZON));
     engine.machine().busy_cycles().0
 }
 
@@ -66,7 +69,8 @@ fn main() {
     for (name, period) in [("busy_1k", 1_000u64), ("idle_100k", 100_000u64)] {
         h.bench(&format!("run/{name}"), || run_ulp(period, horizon));
     }
-    h.bench("run/idle_100k_no_skip", run_ulp_no_skip);
+    h.throughput(Throughput::Elements(NO_SKIP_HORIZON))
+        .bench("run/idle_100k_no_skip", run_ulp_no_skip);
     h.group("mica_board")
         .throughput(Throughput::Elements(horizon))
         .bench("run/sampling_every_tick", || run_mica(horizon));

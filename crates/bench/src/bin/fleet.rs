@@ -15,7 +15,8 @@
 //! Grid flags:
 //!
 //! * `--nodes A[,B,…]` — node counts to sweep, each ≥ 1 (default `64`;
-//!   `1024` with `--dense`)
+//!   `1024` with `--dense`); without `--dense` at most 65533, the nodes
+//!   whose 16-bit short addresses fit below broadcast
 //! * `--loss  A[,B,…]` — loss probabilities to sweep, in `[0, 1]`
 //!   (default `0.1`)
 //! * `--seeds N`       — seeds `0..N` per cell (default `8`; `1` with
@@ -45,10 +46,10 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use ulp_bench::campaign::{
-    self, drive, exit_on_error, print_table, write_artifact, CliError, DriveConfig, Flag,
-    UnitInterval,
+    self, drive, exit_on_error, print_table, usage_error, write_artifact, CliError, DriveConfig,
+    Flag, UnitInterval,
 };
-use ulp_bench::cosim::{run_cosim_event, CosimConfig, CosimSummary};
+use ulp_bench::cosim::{run_cosim_event, CosimConfig, CosimSummary, MAX_NODES};
 use ulp_bench::dense::{self, DenseConfig};
 use ulp_bench::fleet::{Cell, Coords, Sweep, SweepResults};
 
@@ -169,11 +170,17 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
     } else {
         CosimConfig::default().horizon_slots
     };
+    let nodes: Vec<usize> = nodes.map_or(vec![if dense { 1_024 } else { 64 }], |n| {
+        n.into_iter().map(NonZeroUsize::get).collect()
+    });
+    if let Some(n) = nodes.iter().find(|&&n| !dense && n > MAX_NODES) {
+        return Err(usage_error(format!(
+            "--nodes {n}: node i takes short address 2 + i, so at most {MAX_NODES} nodes fit"
+        )));
+    }
     Ok(Cli {
         dense,
-        nodes: nodes.map_or(vec![if dense { 1_024 } else { 64 }], |n| {
-            n.into_iter().map(NonZeroUsize::get).collect()
-        }),
+        nodes,
         losses: losses.into_iter().map(|l| l.0).collect(),
         densities: densities.into_iter().map(|d| d.0).collect(),
         duties: duties.map_or(vec![5_000], |d| {
@@ -296,6 +303,10 @@ mod tests {
             (cli.nodes, cli.losses, cli.seeds),
             (vec![16, 32], vec![0.0, 1.0], 2)
         );
+        let cli = parse_strs(&["--nodes", "65533"]).unwrap();
+        assert_eq!(cli.nodes, [MAX_NODES], "the last address below broadcast");
+        let cli = parse_strs(&["--dense", "--nodes", "65537"]).unwrap();
+        assert_eq!(cli.nodes, [65_537], "dense tiles address nodes per tile");
     }
 
     #[test]
@@ -307,6 +318,8 @@ mod tests {
             &["--seeds", "0"],
             &["--nodes", "0"],
             &["--nodes", "16,"],
+            &["--nodes", "65534"],
+            &["--nodes", "16,65537"],
             &["--loss", "2"],
             &["--loss", "nan"],
             &["--dense", "--duty", "0"],
@@ -329,6 +342,7 @@ mod tests {
             if let Ok(cli) = parse(argv) {
                 prop_assert!(cli.seeds > 0 && cli.slots > 0);
                 prop_assert!(cli.nodes.iter().all(|&n| n > 0));
+                prop_assert!(cli.dense || cli.nodes.iter().all(|&n| n <= MAX_NODES));
                 prop_assert!(cli.losses.iter().all(|l| (0.0..=1.0).contains(l)));
                 prop_assert!(cli.densities.iter().all(|d| d.is_finite() && *d > 0.0));
                 prop_assert!(cli.duties.iter().all(|&d| d > 0));

@@ -22,7 +22,7 @@
 use ulp_apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
 use ulp_core::{System, SystemConfig};
-use ulp_net::{EventWheel, Medium, MediumConfig};
+use ulp_net::{EventWheel, Medium, MediumConfig, BROADCAST};
 use ulp_sim::{Cycles, Metrics, Simulatable, StepOutcome};
 
 /// Simulated microseconds per node cycle (100 kHz system clock): the
@@ -30,12 +30,17 @@ use ulp_sim::{Cycles, Metrics, Simulatable, StepOutcome};
 /// the dense spatial driver ([`crate::dense`]).
 pub const SLOT_US: u64 = 10;
 
+/// Largest co-sim population: node `i` takes the 16-bit short address
+/// `2 + i`, which must stay below the broadcast address.
+pub const MAX_NODES: usize = BROADCAST as usize - 2;
+
 /// One co-simulation grid point: everything that varies across the
 /// sweep, plus the shared horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimConfig {
     /// Number of cycle-accurate nodes on the medium (one head + the
-    /// rest forwarding relays), excluding the listening base station.
+    /// rest forwarding relays), excluding the listening base station;
+    /// `1..=`[`MAX_NODES`].
     pub nodes: usize,
     /// Independent per-receiver frame-loss probability.
     pub loss: f64,
@@ -148,10 +153,10 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimSummary {
 ///
 /// Produces the **same summary** as [`run_cosim`] — every integer
 /// counter is bit-identical because medium RNG draws happen in the same
-/// `(slot, node index)` order, and the energy total matches to the
-/// fast-forward tolerance (idle spans are charged in one lump via
-/// `skip_to` instead of per-cycle, which reorders the floating-point
-/// sum). `tests/net_scale.rs` asserts both claims over random configs.
+/// `(slot, node index)` order, and so is the energy total: idle spans
+/// are charged in one lump via `skip_to` instead of per cycle, but the
+/// meter counts integer cycles and prices them only on read.
+/// `tests/net_scale.rs` asserts both claims over random configs.
 ///
 /// The win is asymptotic, not constant-factor: slot-stepping is
 /// O(nodes × slots) regardless of activity, while this driver is
@@ -277,13 +282,19 @@ fn advance_node(node: &mut System, target: Cycles, endpoint: usize) -> StepOutco
 /// both co-sim drivers; returns `(medium, [(endpoint, node)], base)`.
 fn build_population(cfg: &CosimConfig) -> (Medium, Vec<(usize, System)>, usize) {
     assert!(cfg.nodes >= 1, "co-sim needs at least the head node");
+    assert!(
+        cfg.nodes <= MAX_NODES,
+        "co-sim addresses at most {MAX_NODES} nodes, got {}",
+        cfg.nodes
+    );
     let mut medium = Medium::new(MediumConfig {
         loss_probability: cfg.loss,
         propagation_delay_us: 30,
         seed: cfg.seed,
     });
-    let nodes: Vec<(usize, System)> = (0..cfg.nodes as u16)
+    let nodes: Vec<(usize, System)> = (0..cfg.nodes)
         .map(|i| {
+            let address = u16::try_from(2 + i).expect("nodes <= MAX_NODES");
             let program = monitoring(&MonitoringConfig {
                 stage: AppStage::Forwarding,
                 period: SamplePeriod::Cycles(if i == 0 {
@@ -295,7 +306,7 @@ fn build_population(cfg: &CosimConfig) -> (Medium, Vec<(usize, System)>, usize) 
                 threshold: 0,
             });
             let config = SystemConfig {
-                address: 2 + i,
+                address,
                 dest: 0x0000,
                 ..SystemConfig::default()
             };
@@ -386,9 +397,9 @@ mod tests {
     }
 
     /// The event-wheel driver is a drop-in replacement: every integer
-    /// counter bit-identical to the slot-stepped loop, energy within
-    /// the fast-forward tolerance. The property-level version (random
-    /// configs) lives in `tests/net_scale.rs`.
+    /// counter and the energy bit-identical to the slot-stepped loop.
+    /// The property-level version (random configs) lives in
+    /// `tests/net_scale.rs`.
     #[test]
     fn event_driver_matches_slot_stepped_driver() {
         let cfg = CosimConfig {
@@ -408,13 +419,22 @@ mod tests {
             (event.radio_tx, event.mcu_wakeups, event.service_p99, event.irqs_serviced),
             "node counters diverged:\nslot  {slot:?}\nevent {event:?}"
         );
-        let tol = slot.energy_j.abs() * 1e-12;
-        assert!(
-            (slot.energy_j - event.energy_j).abs() <= tol,
-            "energy diverged beyond fast-forward tolerance: {} vs {}",
+        assert_eq!(
+            slot.energy_j.to_bits(),
+            event.energy_j.to_bits(),
+            "energy diverged: {} vs {}",
             slot.energy_j,
             event.energy_j
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "co-sim addresses at most 65533 nodes, got 65534")]
+    fn populations_beyond_the_address_space_are_refused() {
+        run_cosim_event(&CosimConfig {
+            nodes: MAX_NODES + 1,
+            ..CosimConfig::default()
+        });
     }
 
     #[test]

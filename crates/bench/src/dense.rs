@@ -198,16 +198,6 @@ impl DenseSummary {
             self.sent as f64 / self.requests as f64
         }
     }
-
-    /// Mean node power over the horizon, microwatts.
-    pub fn avg_power_uw(&self, horizon_slots: u64) -> f64 {
-        let seconds = horizon_slots as f64 * SLOT_US as f64 * 1e-6;
-        if self.nodes == 0 || seconds == 0.0 {
-            0.0
-        } else {
-            self.energy_j / self.nodes as f64 / seconds * 1e6
-        }
-    }
 }
 
 /// Simulate one tile. A pure function of `(cfg, tile)`: the channel

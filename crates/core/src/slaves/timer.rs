@@ -89,12 +89,6 @@ impl TimerBlock {
         self.timers.iter().filter(|t| t.counting()).count()
     }
 
-    /// Fraction of the block's active power drawn by background counting
-    /// (no register traffic): `counting/4 × COUNTING_ACTIVITY`.
-    pub fn counting_fraction(&self) -> f64 {
-        self.active_count() as f64 / 4.0 * COUNTING_ACTIVITY
-    }
-
     /// Total alarms fired since reset.
     pub fn alarms(&self) -> u64 {
         self.alarms

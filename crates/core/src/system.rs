@@ -1,20 +1,20 @@
 //! The assembled system (Figure 1): event processor and microcontroller
-//! masters, the slave fabric, per-cycle energy accounting, and the
+//! masters, the slave fabric, the integer energy ledger, and the
 //! idle-skip integration with the simulation engine.
 
 use crate::event_processor::{EpAction, EventProcessor};
 use crate::map::{self, Irq};
 use crate::mcu::{Mcu, McuError};
 use crate::power::{SystemPower, WakeLatency};
-use crate::slaves::{BusError, SensorBlock, SensorModel, Slaves};
+use crate::slaves::{BusError, SensorBlock, SensorModel, Slaves, COUNTING_ACTIVITY};
 use std::collections::VecDeque;
 use std::fmt;
 use ulp_sim::fault::{FaultDisposition, FaultKind, FaultPlan, FaultStats};
 use ulp_sim::perf::{PhaseId, Profiler};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
 use ulp_sim::{
-    Cycles, Energy, EnergyMeter, Frequency, MeterId, Power, PowerMode, PowerSpec, Simulatable,
-    StepOutcome, TraceBuffer, TraceKind,
+    ActivityId, Cycles, EnergyMeter, Frequency, MeterId, Power, PowerMode, PowerSpec,
+    Simulatable, StepOutcome, TraceBuffer, TraceKind,
 };
 use ulp_sram::{BankedSram, SramConfig};
 
@@ -114,6 +114,19 @@ pub struct MeterIds {
     pub sensor: MeterId,
 }
 
+/// Activity lines priced on top of component modes.
+#[derive(Debug, Clone, Copy)]
+struct Lines {
+    /// Timer-cycles of background counting (per counting timer).
+    timer_counting: ActivityId,
+    /// Powered SRAM bank-cycles.
+    mem_on: ActivityId,
+    /// Vdd-gated SRAM bank-cycles.
+    mem_gated: ActivityId,
+    /// SRAM accesses.
+    mem_access: ActivityId,
+}
+
 /// The full sensor-node system.
 pub struct System {
     config: SystemConfig,
@@ -123,12 +136,12 @@ pub struct System {
     mcu: Mcu,
     meter: EnergyMeter,
     ids: MeterIds,
+    lines: Lines,
     trace: TraceBuffer,
     rx_queue: VecDeque<(Cycles, Vec<u8>)>,
     outbox: Vec<(Cycles, Vec<u8>)>,
     fault: Option<SystemFault>,
     busy_cycles: Cycles,
-    mem_energy_mark: Energy,
     /// Telemetry master switch (default off: probes cost one branch).
     telemetry: bool,
     /// IRQ→µC-running latency distribution (cycles).
@@ -187,6 +200,25 @@ impl System {
             radio: meter.register("radio", config.power.radio),
             sensor: meter.register("sensor", config.power.sensor),
         };
+        // A counting timer switches a fraction of the block's logic: it
+        // adds COUNTING_ACTIVITY of one timer's share of the
+        // active-over-idle power (§6.3).
+        let timer = config.power.timer;
+        let per_timer = (timer.active.watts() - timer.idle.watts()) / 4.0 * COUNTING_ACTIVITY;
+        let lines = Lines {
+            timer_counting: meter.register_activity(
+                ids.timer,
+                "counting",
+                Power::from_watts(per_timer),
+            ),
+            mem_on: meter.register_activity(ids.memory, "bank_on", config.sram.bank_idle),
+            mem_gated: meter.register_activity(ids.memory, "bank_gated", config.sram.bank_gated),
+            mem_access: meter.register_activity(
+                ids.memory,
+                "access",
+                config.sram.access_power(),
+            ),
+        };
         let mut slaves = Slaves::new(
             BankedSram::new(config.sram.clone()),
             SensorBlock::new(sensor),
@@ -204,12 +236,12 @@ impl System {
             mcu: Mcu::new(),
             meter,
             ids,
+            lines,
             trace,
             rx_queue: VecDeque::new(),
             outbox: Vec::new(),
             fault: None,
             busy_cycles: Cycles::ZERO,
-            mem_energy_mark: Energy::ZERO,
             telemetry: false,
             mcu_wake_hist: Log2Histogram::new(),
             idle_skip_hist: Log2Histogram::new(),
@@ -488,11 +520,8 @@ impl System {
     /// Panics if `at` is not in the future.
     pub fn schedule_rx(&mut self, at: Cycles, bytes: Vec<u8>) {
         assert!(at > self.now, "rx must be scheduled in the future");
-        let pos = self
-            .rx_queue
-            .iter()
-            .position(|(t, _)| *t > at)
-            .unwrap_or(self.rx_queue.len());
+        // Binary search; equal timestamps keep their scheduling order.
+        let pos = self.rx_queue.partition_point(|(t, _)| *t <= at);
         self.rx_queue.insert(pos, (at, bytes));
     }
 
@@ -657,7 +686,7 @@ impl System {
             compute_busy = true;
         }
 
-        self.charge_cycle(ep_active);
+        self.account(Cycles(1), ep_active);
         if compute_busy {
             self.busy_cycles += Cycles(1);
         }
@@ -705,114 +734,51 @@ impl System {
         }
     }
 
-    /// Per-cycle energy accounting from observed component activity.
-    fn charge_cycle(&mut self, ep_active: bool) {
-        let one = Cycles(1);
+    /// Count `span` cycles of observed component activity into the
+    /// ledger: one stepped cycle, or a fast-forwarded idle span (where the
+    /// masters are idle, the µC is gated and nothing is transmitting or
+    /// touched, so the same reads give the idle modes). Integer counts
+    /// only; the meter prices them on read.
+    fn account(&mut self, span: Cycles, ep_active: bool) {
         let touched = self.slaves.take_touched();
-        let ids = self.ids;
-        self.meter.charge(
-            ids.ep,
-            if ep_active {
-                PowerMode::Active
-            } else {
-                PowerMode::Idle
-            },
-            one,
-        );
-        if self.slaves.timer.powered() {
-            let frac = if touched.timer {
-                1.0
-            } else {
-                self.slaves.timer.counting_fraction()
-            };
-            self.meter.charge_fraction(ids.timer, frac, one);
-        } else {
-            self.meter.charge(ids.timer, PowerMode::Gated, one);
-        }
-        self.charge_simple(
-            ids.filter,
-            self.slaves.filter.powered(),
-            touched.filter,
-            one,
-        );
-        self.charge_simple(
-            ids.msgproc,
-            self.slaves.msgproc.powered(),
-            self.slaves.msgproc.busy() || touched.msgproc,
-            one,
-        );
-        self.meter.charge(
-            ids.mcu,
-            if self.mcu.powered() {
-                PowerMode::Active
-            } else {
-                PowerMode::Gated
-            },
-            one,
-        );
-        self.charge_simple(
-            ids.radio,
-            self.slaves.radio.powered(),
-            self.slaves.radio.transmitting() || self.slaves.radio.listening(),
-            one,
-        );
-        self.charge_simple(
-            ids.sensor,
-            self.slaves.sensor.powered(),
-            self.slaves.sensor.powered(),
-            one,
-        );
-        self.meter.charge(ids.memory, PowerMode::Idle, one); // time base only
-        self.slaves.mem.tick(one);
-        self.sync_memory_energy();
-    }
-
-    fn charge_simple(&mut self, id: MeterId, powered: bool, active: bool, cycles: Cycles) {
-        let mode = if !powered {
-            PowerMode::Gated
-        } else if active {
-            PowerMode::Active
-        } else {
-            PowerMode::Idle
+        let (ids, lines, slaves) = (self.ids, self.lines, &self.slaves);
+        let meter = &mut self.meter;
+        let mode = |powered: bool, active: bool| match (powered, active) {
+            (false, _) => PowerMode::Gated,
+            (true, true) => PowerMode::Active,
+            (true, false) => PowerMode::Idle,
         };
-        self.meter.charge(id, mode, cycles);
-    }
-
-    fn sync_memory_energy(&mut self) {
-        let total = self.slaves.mem.energy();
-        let delta = total - self.mem_energy_mark;
-        self.mem_energy_mark = total;
-        self.meter.charge_energy(self.ids.memory, delta);
-    }
-
-    /// Energy accounting for a fast-forwarded idle span.
-    fn charge_idle_span(&mut self, cycles: Cycles) {
-        let ids = self.ids;
-        self.meter.charge(ids.ep, PowerMode::Idle, cycles);
-        if self.slaves.timer.powered() {
-            let frac = self.slaves.timer.counting_fraction();
-            self.meter.charge_fraction(ids.timer, frac, cycles);
-        } else {
-            self.meter.charge(ids.timer, PowerMode::Gated, cycles);
+        meter.charge(ids.ep, mode(true, ep_active), span);
+        let timer = &slaves.timer;
+        meter.charge(ids.timer, mode(timer.powered(), touched.timer), span);
+        if timer.powered() && !touched.timer {
+            meter.charge_activity(lines.timer_counting, timer.active_count() as u64 * span.0);
         }
-        self.charge_simple(ids.filter, self.slaves.filter.powered(), false, cycles);
-        self.charge_simple(ids.msgproc, self.slaves.msgproc.powered(), false, cycles);
-        self.meter.charge(ids.mcu, PowerMode::Gated, cycles);
-        self.charge_simple(
+        meter.charge(
+            ids.filter,
+            mode(slaves.filter.powered(), touched.filter),
+            span,
+        );
+        let msgproc = &slaves.msgproc;
+        meter.charge(
+            ids.msgproc,
+            mode(msgproc.powered(), msgproc.busy() || touched.msgproc),
+            span,
+        );
+        meter.charge(ids.mcu, mode(self.mcu.powered(), true), span);
+        let radio = &slaves.radio;
+        meter.charge(
             ids.radio,
-            self.slaves.radio.powered(),
-            self.slaves.radio.listening(),
-            cycles,
+            mode(radio.powered(), radio.transmitting() || radio.listening()),
+            span,
         );
-        self.charge_simple(
-            ids.sensor,
-            self.slaves.sensor.powered(),
-            self.slaves.sensor.powered(),
-            cycles,
-        );
-        self.meter.charge(ids.memory, PowerMode::Idle, cycles); // time base only
-        self.slaves.mem.tick(cycles);
-        self.sync_memory_energy();
+        let sensor = slaves.sensor.powered();
+        meter.charge(ids.sensor, mode(sensor, sensor), span);
+        meter.charge(ids.memory, PowerMode::Idle, span); // time base only
+        let mem = self.slaves.mem.tick(span);
+        meter.charge_activity(lines.mem_on, mem.on_bank_cycles);
+        meter.charge_activity(lines.mem_gated, mem.gated_bank_cycles);
+        meter.charge_activity(lines.mem_access, mem.accesses);
     }
 
     // ------------------------------------------------------------------
@@ -962,7 +928,7 @@ impl Simulatable for System {
         debug_assert!(target > self.now, "skip must move forward");
         let span = target - self.now;
         self.slaves.skip(span);
-        self.charge_idle_span(span);
+        self.account(span, false);
         self.now = target;
         if self.telemetry {
             self.idle_skip_hist.record(span.0);
@@ -1061,19 +1027,11 @@ mod tests {
             (
                 sys.busy_cycles(),
                 sys.take_outbox().len(),
-                sys.meter().total_energy(),
+                sys.meter().total_energy().joules().to_bits(),
                 sys.now(),
             )
         };
-        let (busy_a, sent_a, energy_a, now_a) = run(true);
-        let (busy_b, sent_b, energy_b, now_b) = run(false);
-        assert_eq!(busy_a, busy_b);
-        assert_eq!(sent_a, sent_b);
-        assert_eq!(now_a, now_b);
-        assert!(
-            (energy_a.joules() - energy_b.joules()).abs() < 1e-15,
-            "energy must match: {energy_a} vs {energy_b}"
-        );
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1301,6 +1259,10 @@ mod tests {
         // Total sanity: everything is accounted.
         assert!(m.total_energy().joules() > 0.0);
         assert_eq!(sys.now(), Cycles(100_000));
+        // The memory row prices the SRAM's own counts: same joules.
+        let memory = m.stats(sys.meter_ids().memory).energy;
+        assert!(memory.joules() > 0.0);
+        assert_eq!(memory, sys.slaves().mem.energy());
     }
 
     #[test]
@@ -1541,20 +1503,12 @@ mod tests {
                 sys.fault_stats(),
                 sys.busy_cycles(),
                 sys.take_outbox().len(),
-                sys.meter().total_energy().joules(),
+                sys.meter().total_energy().joules().to_bits(),
                 sys.now(),
             )
         };
         let a = run(true);
-        let b = run(false);
-        assert_eq!(
-            (a.0, a.1, a.2, a.4),
-            (b.0, b.1, b.2, b.4),
-            "fast-forward changed a faulted run"
-        );
-        // Lump-sum idle charging differs from per-cycle accumulation only
-        // by float associativity (same tolerance as the clean-run test).
-        assert!((a.3 - b.3).abs() < 1e-15, "energy must match: {} vs {}", a.3, b.3);
+        assert_eq!(a, run(false), "fast-forward changed a faulted run");
         assert_eq!(a.0.injected, 12, "every scheduled fault landed");
     }
 
@@ -1570,6 +1524,19 @@ mod tests {
         let m = sys.telemetry_snapshot();
         assert_eq!(m.counter("fault.injected"), None, "no fault keys appear");
         assert_eq!(m.counter("irq.fault_cleared"), None);
+    }
+
+    #[test]
+    fn schedule_rx_orders_by_time_and_keeps_ties_fifo() {
+        let mut sys = system();
+        for (at, tag) in [(50, 0), (20, 1), (50, 2), (20, 3), (90, 4), (10, 5)] {
+            sys.schedule_rx(Cycles(at), vec![tag]);
+        }
+        let order: Vec<(u64, u8)> = sys.rx_queue.iter().map(|(t, p)| (t.0, p[0])).collect();
+        assert_eq!(
+            order,
+            [(10, 5), (20, 1), (20, 3), (50, 0), (50, 2), (90, 4)]
+        );
     }
 
     #[test]

@@ -583,11 +583,8 @@ impl Mica2Board {
     pub fn schedule_rx(&mut self, at: Cycles, bytes: Vec<u8>) {
         assert!(at > self.now, "rx must be scheduled in the future");
         assert!(bytes.len() <= io::PKT_BUF_LEN as usize, "packet too large");
-        let pos = self
-            .rx_schedule
-            .iter()
-            .position(|(t, _)| *t > at)
-            .unwrap_or(self.rx_schedule.len());
+        // Binary search; equal timestamps keep their scheduling order.
+        let pos = self.rx_schedule.partition_point(|(t, _)| *t <= at);
         self.rx_schedule.insert(pos, (at, bytes));
     }
 
@@ -826,6 +823,19 @@ mod tests {
             engine_steps += 1;
             assert!(engine_steps < max, "program did not halt");
         }
+    }
+
+    #[test]
+    fn schedule_rx_orders_by_time_and_keeps_ties_fifo() {
+        let mut b = board("break");
+        for (at, tag) in [(50, 0), (20, 1), (50, 2), (20, 3), (90, 4), (10, 5)] {
+            b.schedule_rx(Cycles(at), vec![tag]);
+        }
+        let order: Vec<(u64, u8)> = b.rx_schedule.iter().map(|(t, p)| (t.0, p[0])).collect();
+        assert_eq!(
+            order,
+            [(10, 5), (20, 1), (20, 3), (50, 0), (50, 2), (90, 4)]
+        );
     }
 
     #[test]

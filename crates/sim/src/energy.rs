@@ -2,9 +2,13 @@
 //!
 //! The paper derives its headline results (Figure 6, the <2 µW claim) by
 //! multiplying per-component power (Table 5) by per-component *utilization*
-//! measured in the cycle-accurate simulator. [`EnergyMeter`] performs that
-//! bookkeeping continuously: every cycle (or every fast-forwarded span) each
-//! registered component is charged for the mode it was in.
+//! measured in the cycle-accurate simulator. [`EnergyMeter`] keeps that
+//! bookkeeping as an integer ledger: every cycle (or every fast-forwarded
+//! span) each registered component has its cycles counted against the
+//! mode it was in, and sub-unit activities (a counting timer, a powered
+//! SRAM bank) count unit-cycles. Joules exist only at read time, as
+//! Σ count × power × period, so the energy of a run does not depend on how
+//! its time was chunked into charges.
 
 use crate::power::{PowerMode, PowerSpec};
 use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
@@ -13,20 +17,51 @@ use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeterId(usize);
 
-/// Accumulated statistics for one component.
+/// Handle to an activity line registered with
+/// [`EnergyMeter::register_activity`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ActivityId {
+    component: usize,
+    line: usize,
+}
+
+/// A sub-unit activity of a component: each unit-cycle draws `power` on
+/// top of the component's mode power.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Activity {
+    /// Line name as registered.
+    pub name: &'static str,
+    /// Power one unit draws for one cycle.
+    pub power: Power,
+    /// Unit-cycles counted so far (units × cycles, summed over charges).
+    pub unit_cycles: u64,
+}
+
 #[derive(Debug, Clone)]
-pub struct ComponentStats {
+struct Component {
+    name: String,
+    spec: PowerSpec,
+    mode_cycles: [Cycles; 3],
+    activities: Vec<Activity>,
+}
+
+/// Accumulated statistics for one component, read from the ledger.
+#[derive(Debug, Clone, Copy)]
+pub struct ComponentStats<'a> {
     /// Component name as registered.
-    pub name: String,
-    /// Power specification used for charging.
+    pub name: &'a str,
+    /// Power specification the mode cycles are priced at.
     pub spec: PowerSpec,
-    /// Total energy consumed so far.
+    /// Total energy consumed so far: the mode cycles and activity lines
+    /// priced at read time.
     pub energy: Energy,
     /// Cycles spent in each mode: `[active, idle, gated]`.
     pub mode_cycles: [Cycles; 3],
+    /// Sub-unit activity lines, in registration order.
+    pub activities: &'a [Activity],
 }
 
-impl ComponentStats {
+impl ComponentStats<'_> {
     /// Total cycles accounted for this component.
     pub fn total_cycles(&self) -> Cycles {
         self.mode_cycles.iter().copied().sum()
@@ -54,6 +89,26 @@ impl ComponentStats {
     }
 }
 
+impl Component {
+    fn stats(&self, clock: Frequency) -> ComponentStats<'_> {
+        let modes = PowerMode::ALL
+            .iter()
+            .zip(self.mode_cycles)
+            .map(|(&mode, cycles)| self.spec.draw(mode) * cycles.at(clock));
+        let lines = self
+            .activities
+            .iter()
+            .map(|a| a.power * Cycles(a.unit_cycles).at(clock));
+        ComponentStats {
+            name: &self.name,
+            spec: self.spec,
+            energy: modes.chain(lines).sum(),
+            mode_cycles: self.mode_cycles,
+            activities: &self.activities,
+        }
+    }
+}
+
 fn mode_index(mode: PowerMode) -> usize {
     match mode {
         PowerMode::Active => 0,
@@ -62,7 +117,7 @@ fn mode_index(mode: PowerMode) -> usize {
     }
 }
 
-/// Integrates component power over simulated time.
+/// Counts component activity over simulated time and prices it on read.
 ///
 /// ```
 /// use ulp_sim::{EnergyMeter, PowerSpec, PowerMode, Power, Cycles, Frequency};
@@ -78,7 +133,7 @@ fn mode_index(mode: PowerMode) -> usize {
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     clock: Frequency,
-    components: Vec<ComponentStats>,
+    components: Vec<Component>,
 }
 
 impl EnergyMeter {
@@ -97,76 +152,61 @@ impl EnergyMeter {
 
     /// Register a component; the returned id is used for charging.
     pub fn register(&mut self, name: impl Into<String>, spec: PowerSpec) -> MeterId {
-        self.components.push(ComponentStats {
+        self.components.push(Component {
             name: name.into(),
             spec,
-            energy: Energy::ZERO,
             mode_cycles: [Cycles::ZERO; 3],
+            activities: Vec::new(),
         });
         MeterId(self.components.len() - 1)
     }
 
-    /// Charge `cycles` of time in `mode` to a component.
+    /// Register a sub-unit activity of component `id` whose every
+    /// unit-cycle draws `power` on top of the component's mode power. Used
+    /// for blocks with independently running sub-units — the paper's timer
+    /// subsystem has four timers of which typically one is counting
+    /// (§6.3), and its SRAM leaks per powered or gated bank (§5.2).
+    pub fn register_activity(
+        &mut self,
+        id: MeterId,
+        name: &'static str,
+        power: Power,
+    ) -> ActivityId {
+        let activities = &mut self.components[id.0].activities;
+        activities.push(Activity {
+            name,
+            power,
+            unit_cycles: 0,
+        });
+        ActivityId {
+            component: id.0,
+            line: activities.len() - 1,
+        }
+    }
+
+    /// Count `cycles` of time in `mode` for a component.
     pub fn charge(&mut self, id: MeterId, mode: PowerMode, cycles: Cycles) {
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        let t = cycles.at(self.clock);
-        let c = &mut self.components[id.0];
-        c.energy += c.spec.draw(mode) * t;
-        c.mode_cycles[mode_index(mode)] += cycles;
+        self.components[id.0].mode_cycles[mode_index(mode)] += cycles;
     }
 
-    /// Charge a one-off energy cost (e.g. a per-access SRAM charge) without
-    /// advancing any mode time.
-    pub fn charge_energy(&mut self, id: MeterId, energy: Energy) {
-        self.components[id.0].energy += energy;
+    /// Count `unit_cycles` (active units × cycles) on an activity line.
+    pub fn charge_activity(&mut self, id: ActivityId, unit_cycles: u64) {
+        self.components[id.component].activities[id.line].unit_cycles += unit_cycles;
     }
 
-    /// Charge `cycles` of time during which the component was partially
-    /// active: `fraction` of its logic drew active power and the rest drew
-    /// idle power. Used for blocks with independently-running sub-units —
-    /// the paper's timer subsystem has four timers of which typically one
-    /// is counting (§6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `[0, 1]`.
-    pub fn charge_fraction(&mut self, id: MeterId, fraction: f64, cycles: Cycles) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "active fraction {fraction} out of [0, 1]"
-        );
-        if cycles == Cycles::ZERO {
-            return;
-        }
-        let t = cycles.at(self.clock);
-        let c = &mut self.components[id.0];
-        let w = c.spec.active.watts() * fraction + c.spec.idle.watts() * (1.0 - fraction);
-        c.energy += Power::from_watts(w) * t;
-        // Utilization reporting counts only fully-engaged cycles as
-        // active; background fractional activity (a lone counting timer)
-        // is idle-with-extra-energy. The energy above is always exact.
-        if fraction >= 1.0 {
-            c.mode_cycles[0] += cycles;
-        } else {
-            c.mode_cycles[1] += cycles;
-        }
-    }
-
-    /// Statistics for one component.
-    pub fn stats(&self, id: MeterId) -> &ComponentStats {
-        &self.components[id.0]
+    /// Statistics for one component, priced at this meter's clock.
+    pub fn stats(&self, id: MeterId) -> ComponentStats<'_> {
+        self.components[id.0].stats(self.clock)
     }
 
     /// Statistics for every registered component, in registration order.
-    pub fn all(&self) -> &[ComponentStats] {
-        &self.components
+    pub fn all(&self) -> impl Iterator<Item = ComponentStats<'_>> {
+        self.components.iter().map(|c| c.stats(self.clock))
     }
 
     /// Total energy across all components.
     pub fn total_energy(&self) -> Energy {
-        self.components.iter().map(|c| c.energy).sum()
+        self.all().map(|c| c.energy).sum()
     }
 
     /// Total average power assuming all components span `elapsed`.
@@ -179,11 +219,13 @@ impl EnergyMeter {
         }
     }
 
-    /// Reset all accumulated energy and cycle counts, keeping registrations.
+    /// Reset all counts, keeping registrations.
     pub fn reset(&mut self) {
         for c in &mut self.components {
-            c.energy = Energy::ZERO;
             c.mode_cycles = [Cycles::ZERO; 3];
+            for a in &mut c.activities {
+                a.unit_cycles = 0;
+            }
         }
     }
 
@@ -256,12 +298,37 @@ mod tests {
     }
 
     #[test]
-    fn direct_energy_charge() {
+    fn activity_lines_price_unit_cycles_on_top_of_modes() {
         let mut m = meter();
-        let id = m.register("sram", PowerSpec::zero());
-        m.charge_energy(id, Energy(1e-9));
-        m.charge_energy(id, Energy(2e-9));
-        assert!((m.stats(id).energy.joules() - 3e-9).abs() < 1e-18);
+        let id = m.register(
+            "timer",
+            PowerSpec::new(Power::from_uw(8.0), Power::from_uw(1.0), Power::ZERO),
+        );
+        let counting = m.register_activity(id, "counting", Power::from_uw(0.5));
+        m.charge(id, PowerMode::Idle, Cycles(100_000)); // 1 s idle...
+        m.charge_activity(counting, 2 * 100_000); // ...with two units busy
+        let s = m.stats(id);
+        assert!((s.energy.uj() - 2.0).abs() < 1e-9);
+        assert_eq!(s.total_cycles(), Cycles(100_000), "lines add no time");
+        assert_eq!(s.activities[0].name, "counting");
+        assert_eq!(s.activities[0].unit_cycles, 200_000);
+    }
+
+    #[test]
+    fn energy_is_independent_of_charge_chunking() {
+        let spec = PowerSpec::new(Power::from_uw(14.25), Power::from_nw(18.0), Power::ZERO);
+        let mut whole = meter();
+        let a = whole.register("ep", spec);
+        whole.charge(a, PowerMode::Active, Cycles(100_000_000));
+        let mut split = meter();
+        let b = split.register("ep", spec);
+        for _ in 0..100_000 {
+            split.charge(b, PowerMode::Active, Cycles(1_000));
+        }
+        assert_eq!(
+            whole.total_energy().joules().to_bits(),
+            split.total_energy().joules().to_bits()
+        );
     }
 
     #[test]
@@ -271,10 +338,13 @@ mod tests {
             "x",
             PowerSpec::new(Power::from_uw(1.0), Power::ZERO, Power::ZERO),
         );
+        let line = m.register_activity(id, "line", Power::from_uw(1.0));
         m.charge(id, PowerMode::Active, Cycles(10));
+        m.charge_activity(line, 10);
         m.reset();
         assert_eq!(m.stats(id).energy, Energy::ZERO);
         assert_eq!(m.stats(id).total_cycles(), Cycles::ZERO);
+        assert_eq!(m.stats(id).activities[0].unit_cycles, 0);
         assert_eq!(m.find("x"), Some(id));
         assert_eq!(m.find("missing"), None);
     }

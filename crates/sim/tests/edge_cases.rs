@@ -39,8 +39,8 @@ fn meter_survives_u64_max_cycle_charge() {
 #[test]
 fn meter_week_long_accumulation_is_monotone_and_precise() {
     // A simulated week charged in one span equals the same week charged
-    // in 7 daily spans: the f64 accumulator must not lose the idle nano-
-    // watts next to the active microwatts.
+    // in 7 daily spans bit for bit: the ledger counts integer cycles and
+    // prices them only on read, so chunking cannot perturb the joules.
     let clock = Frequency::from_khz(100.0);
     let week = 7 * 24 * 3600 * 100_000u64; // 60.48e9 cycles
     let spec = PowerSpec::new(Power::from_uw(25.0), Power::from_nw(70.0), Power::ZERO);
@@ -60,7 +60,7 @@ fn meter_week_long_accumulation_is_monotone_and_precise() {
     }
     let ew = whole.stats(a).energy.joules();
     let ed = daily.stats(b).energy.joules();
-    assert!((ew - ed).abs() <= ew * 1e-12, "split charging drifted: {ew} vs {ed}");
+    assert_eq!(ew.to_bits(), ed.to_bits(), "split charging drifted: {ew} vs {ed}");
 }
 
 #[test]
@@ -79,26 +79,31 @@ fn average_over_zero_duration_is_rejected() {
 }
 
 #[test]
-fn charge_fraction_accepts_closed_unit_interval() {
+fn activity_accepts_idle_full_and_partial_timer_activity() {
+    // The timer block's background counting is an activity line: each
+    // counting timer adds a quarter of the block's active-over-idle power.
     let mut m = EnergyMeter::new(Frequency::from_khz(100.0));
-    let id = m.register(
-        "timer",
-        PowerSpec::new(Power::from_uw(5.68), Power::from_nw(24.0), Power::ZERO),
-    );
-    m.charge_fraction(id, 0.0, Cycles(1000)); // pure idle
-    m.charge_fraction(id, 1.0, Cycles(1000)); // pure active
-    m.charge_fraction(id, 0.25, Cycles(1000)); // one of four timers
+    let spec = PowerSpec::new(Power::from_uw(5.68), Power::from_nw(24.0), Power::ZERO);
+    let id = m.register("timer", spec);
+    let quarter = Power::from_watts((spec.active.watts() - spec.idle.watts()) / 4.0);
+    let counting = m.register_activity(id, "counting", quarter);
+    m.charge(id, PowerMode::Idle, Cycles(1000)); // pure idle
+    m.charge(id, PowerMode::Active, Cycles(1000)); // pure active
+    m.charge(id, PowerMode::Idle, Cycles(1000)); // one of four timers
+    m.charge_activity(counting, 1000);
     let s = m.stats(id);
     assert_eq!(s.total_cycles(), Cycles(3000));
     assert!(s.energy.joules().is_finite() && s.energy.joules() > 0.0);
 }
 
 #[test]
-#[should_panic(expected = "out of [0, 1]")]
-fn charge_fraction_rejects_out_of_range() {
+#[should_panic(expected = "power must be non-negative")]
+fn activity_rejects_out_of_range_power() {
+    // A line's weight is a `Power`, which refuses negative and non-finite
+    // values, so no charge can ever price below zero.
     let mut m = EnergyMeter::new(Frequency::from_khz(100.0));
     let id = m.register("x", PowerSpec::zero());
-    m.charge_fraction(id, 1.0 + 1e-9, Cycles(1));
+    m.register_activity(id, "line", Power::from_watts(-1e-9));
 }
 
 // ---------------------------------------------------------------------

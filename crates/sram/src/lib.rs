@@ -14,8 +14,9 @@
 //! option.
 //!
 //! The model is *functional* (it stores bytes and refuses access to gated
-//! banks) and *power-accurate at the architecture level* (it integrates
-//! leakage over ticked cycles and charges per-access active energy).
+//! banks) and *power-accurate at the architecture level*: ticking counts
+//! powered and gated bank-cycles and accesses as integers
+//! ([`SramCounts`]), and [`BankedSram::energy`] prices them on read.
 //!
 //! # Example
 //!
@@ -93,6 +94,13 @@ impl SramConfig {
         }
     }
 
+    /// Extra power of one access cycle over an idle one: the accessed
+    /// bank's active-vs-idle delta plus the array overhead.
+    pub fn access_power(&self) -> Power {
+        let delta = self.effective_bank_active().watts() - self.bank_idle.watts();
+        Power::from_watts(delta.max(0.0) + self.array_overhead_active.watts())
+    }
+
     /// Wake-up latency in whole clock cycles (at least 1).
     pub fn wake_cycles(&self) -> Cycles {
         let cycles = (self.wake_latency.0 * self.clock.hz()).ceil() as u64;
@@ -167,19 +175,40 @@ pub struct BankStats {
     pub reads: u64,
     /// Write accesses.
     pub writes: u64,
-    /// Cycles spent gated (accumulated via [`BankedSram::tick`]).
+    /// Cycles spent gated (counted via [`BankedSram::tick`]).
     pub gated_cycles: u64,
 }
 
-/// The banked SRAM: functional storage plus energy integration.
+/// The integer activity counts the SRAM's energy is priced from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SramCounts {
+    /// Powered bank-cycles (banks × cycles), leaking at `bank_idle`.
+    pub on_bank_cycles: u64,
+    /// Vdd-gated bank-cycles, leaking at `bank_gated`.
+    pub gated_bank_cycles: u64,
+    /// Accesses, each drawing [`SramConfig::access_power`] for a cycle.
+    pub accesses: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Bank {
+    state: BankState,
+    /// Statistics, with `gated_cycles` folded in up to the last ungate.
+    stats: BankStats,
+    /// `BankedSram::ticked` when the bank was last gated.
+    gated_at: u64,
+}
+
+/// The banked SRAM: functional storage plus energy accounting.
 #[derive(Debug, Clone)]
 pub struct BankedSram {
     config: SramConfig,
     data: Vec<u8>,
-    states: Vec<BankState>,
-    stats: Vec<BankStats>,
-    energy: Energy,
-    access_energy_this_tick: Energy,
+    banks: Vec<Bank>,
+    on_banks: u64,
+    ticked: u64,
+    counts: SramCounts,
+    accesses_this_tick: u64,
 }
 
 impl BankedSram {
@@ -189,10 +218,18 @@ impl BankedSram {
         let banks = config.banks();
         BankedSram {
             data: vec![0; config.total_bytes],
-            states: vec![BankState::On; banks],
-            stats: vec![BankStats::default(); banks],
-            energy: Energy::ZERO,
-            access_energy_this_tick: Energy::ZERO,
+            banks: vec![
+                Bank {
+                    state: BankState::On,
+                    stats: BankStats::default(),
+                    gated_at: 0,
+                };
+                banks
+            ],
+            on_banks: banks as u64,
+            ticked: 0,
+            counts: SramCounts::default(),
+            accesses_this_tick: 0,
             config,
         }
     }
@@ -234,7 +271,7 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn bank_state(&self, bank: usize) -> BankState {
-        self.states[bank]
+        self.banks[bank].state
     }
 
     /// Statistics of bank `bank`.
@@ -243,7 +280,12 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn bank_stats(&self, bank: usize) -> BankStats {
-        self.stats[bank]
+        let b = &self.banks[bank];
+        let mut stats = b.stats;
+        if b.state == BankState::Gated {
+            stats.gated_cycles += self.ticked - b.gated_at;
+        }
+        stats
     }
 
     /// Read one byte.
@@ -253,8 +295,8 @@ impl BankedSram {
     /// Fails on out-of-range addresses and gated banks.
     pub fn read(&mut self, addr: u16) -> Result<u8, SramError> {
         let bank = self.accessible_bank(addr)?;
-        self.charge_access();
-        self.stats[bank].reads += 1;
+        self.accesses_this_tick += 1;
+        self.banks[bank].stats.reads += 1;
         Ok(self.data[addr as usize])
     }
 
@@ -265,8 +307,8 @@ impl BankedSram {
     /// Fails on out-of-range addresses and gated banks.
     pub fn write(&mut self, addr: u16, value: u8) -> Result<(), SramError> {
         let bank = self.accessible_bank(addr)?;
-        self.charge_access();
-        self.stats[bank].writes += 1;
+        self.accesses_this_tick += 1;
+        self.banks[bank].stats.writes += 1;
         self.data[addr as usize] = value;
         Ok(())
     }
@@ -301,7 +343,7 @@ impl BankedSram {
     /// zeroed on wake, so an upset there is architecturally invisible).
     pub fn flip_bit(&mut self, addr: u16, bit: u8) -> bool {
         match self.bank_of(addr) {
-            Ok(bank) if self.states[bank] == BankState::On => {
+            Ok(bank) if self.banks[bank].state == BankState::On => {
                 self.data[addr as usize] ^= 1 << (bit & 7);
                 true
             }
@@ -331,7 +373,13 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn gate_bank(&mut self, bank: usize) {
-        self.states[bank] = BankState::Gated;
+        let ticked = self.ticked;
+        let b = &mut self.banks[bank];
+        if b.state == BankState::On {
+            b.state = BankState::Gated;
+            b.gated_at = ticked;
+            self.on_banks -= 1;
+        }
     }
 
     /// Un-gate a bank, returning the wake-up latency in cycles the caller
@@ -342,8 +390,10 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn ungate_bank(&mut self, bank: usize) -> Cycles {
-        if self.states[bank] == BankState::Gated {
-            self.states[bank] = BankState::On;
+        if self.banks[bank].state == BankState::Gated {
+            self.banks[bank].stats = self.bank_stats(bank);
+            self.banks[bank].state = BankState::On;
+            self.on_banks += 1;
             let base = bank * self.config.bank_bytes;
             self.data[base..base + self.config.bank_bytes].fill(0);
             self.config.wake_cycles()
@@ -352,37 +402,39 @@ impl BankedSram {
         }
     }
 
-    /// Advance simulated time by `cycles`, integrating leakage for every
-    /// bank according to its state. Per-access active energy charged by
-    /// [`read`](Self::read)/[`write`](Self::write) since the previous tick
-    /// is folded in here.
-    pub fn tick(&mut self, cycles: Cycles) {
-        let t = cycles.at(self.config.clock);
-        let mut leak = Power::ZERO;
-        for (state, stats) in self.states.iter().zip(&mut self.stats) {
-            match state {
-                BankState::On => leak += self.config.bank_idle,
-                BankState::Gated => {
-                    leak += self.config.bank_gated;
-                    stats.gated_cycles += cycles.0;
-                }
-            }
-        }
-        self.energy += leak * t;
-        self.energy += self.access_energy_this_tick;
-        self.access_energy_this_tick = Energy::ZERO;
+    /// Advance simulated time by `cycles`, counting powered and gated
+    /// bank-cycles for every bank according to its state. Accesses made
+    /// by [`read`](Self::read)/[`write`](Self::write) since the previous
+    /// tick are folded in here. Returns the counts this tick added.
+    pub fn tick(&mut self, cycles: Cycles) -> SramCounts {
+        let gated = self.banks.len() as u64 - self.on_banks;
+        let added = SramCounts {
+            on_bank_cycles: self.on_banks * cycles.0,
+            gated_bank_cycles: gated * cycles.0,
+            accesses: std::mem::take(&mut self.accesses_this_tick),
+        };
+        self.counts.on_bank_cycles += added.on_bank_cycles;
+        self.counts.gated_bank_cycles += added.gated_bank_cycles;
+        self.counts.accesses += added.accesses;
+        self.ticked += cycles.0;
+        added
     }
 
-    /// Total energy consumed so far.
+    /// Total energy consumed so far, priced from the counts every
+    /// [`tick`](Self::tick) has added.
     pub fn energy(&self) -> Energy {
-        self.energy
+        let c = &self.config;
+        let at = |n| Cycles(n).at(c.clock);
+        c.bank_idle * at(self.counts.on_bank_cycles)
+            + c.bank_gated * at(self.counts.gated_bank_cycles)
+            + c.access_power() * at(self.counts.accesses)
     }
 
     /// Current leakage power given bank states (no accesses).
     pub fn idle_power(&self) -> Power {
-        self.states
+        self.banks
             .iter()
-            .map(|s| match s {
+            .map(|b| match b.state {
                 BankState::On => self.config.bank_idle,
                 BankState::Gated => self.config.bank_gated,
             })
@@ -400,21 +452,12 @@ impl BankedSram {
 
     fn accessible_bank(&self, addr: u16) -> Result<usize, SramError> {
         let bank = self.bank_of(addr)?;
-        if self.states[bank] == BankState::Gated {
+        if self.banks[bank].state == BankState::Gated {
             return Err(SramError::BankGated { addr, bank });
         }
         Ok(bank)
     }
 
-    /// One access adds the active-vs-idle delta for the bank plus the
-    /// array overhead for one cycle.
-    fn charge_access(&mut self) {
-        let period = self.config.clock.period();
-        let delta_w = (self.config.effective_bank_active().watts() - self.config.bank_idle.watts())
-            .max(0.0)
-            + self.config.array_overhead_active.watts();
-        self.access_energy_this_tick += Power::from_watts(delta_w) * period;
-    }
 }
 
 #[cfg(test)]
@@ -509,6 +552,28 @@ mod tests {
         let period = 1e-5;
         let expect = (8.0 * 409e-12 + (1.93e-6 - 409e-12) + 137e-9) * period;
         assert!((e - expect).abs() < 1e-18, "got {e}, want {expect}");
+    }
+
+    #[test]
+    fn tick_counts_bank_cycles_and_folds_accesses() {
+        let mut m = sram();
+        m.gate_bank(6);
+        m.gate_bank(7);
+        m.gate_bank(7); // already gated: no double count
+        m.read(0).unwrap();
+        m.write(1, 2).unwrap();
+        let added = m.tick(Cycles(10));
+        let want = SramCounts {
+            on_bank_cycles: 60,
+            gated_bank_cycles: 20,
+            accesses: 2,
+        };
+        assert_eq!(added, want);
+        m.ungate_bank(7);
+        let added = m.tick(Cycles(5));
+        assert_eq!((added.on_bank_cycles, added.gated_bank_cycles), (35, 5));
+        assert_eq!(m.bank_stats(7).gated_cycles, 10);
+        assert_eq!(m.bank_stats(6).gated_cycles, 15);
     }
 
     #[test]

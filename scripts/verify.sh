@@ -155,6 +155,7 @@ done <<'CASES'
 2 fleet --threads 0
 2 fleet --slots 0
 2 fleet --nodes 0
+2 fleet --nodes 65537
 2 fleet --dense --duty 0
 2 fleet --dense --density 0
 2 fleet --dense --density -5

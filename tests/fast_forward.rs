@@ -1,15 +1,16 @@
 //! Idle-skip (fast-forward) equivalence: running any workload with the
 //! engine's fast-forward enabled must be *observably identical* to
 //! stepping every cycle — same clock, same busy cycles, same packets,
-//! same energy to within f64 accumulation noise. This is the property
-//! that makes the week-long lifetime studies trustworthy.
+//! bit-identical energy (the meter counts integer cycles and prices them
+//! only on read). This is the property that makes the week-long lifetime
+//! studies trustworthy.
 
 use ulp_node::apps::ulp::{monitoring, stages, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_node::core_arch::slaves::RandomWalkSensor;
 use ulp_node::core_arch::{System, SystemConfig};
 use ulp_node::net::Frame;
-use ulp_node::sim::{Cycles, Engine, Simulatable};
-use ulp_testkit::{any_u64, props, vec_of};
+use ulp_node::sim::{Cycles, Engine, Simulatable, StepOutcome};
+use ulp_testkit::{any_bool, any_u64, prop_assert_eq, props, vec_of};
 
 #[derive(Debug, PartialEq)]
 struct Observation {
@@ -22,7 +23,7 @@ struct Observation {
     dropped: u64,
     wakeups: u64,
     frames: Vec<Vec<u8>>,
-    energy_j: f64,
+    energy_bits: u64,
 }
 
 fn observe(mut sys: System, horizon: u64, fast_forward: bool) -> Observation {
@@ -41,21 +42,9 @@ fn observe(mut sys: System, horizon: u64, fast_forward: bool) -> Observation {
         irregular: m.irregular,
         dropped: sys.slaves().irqs.dropped(),
         wakeups: sys.mcu().stats().wakeups,
-        energy_j: sys.meter().total_energy().joules(),
+        energy_bits: sys.meter().total_energy().joules().to_bits(),
         frames: sys.take_outbox().into_iter().map(|(_, b)| b).collect(),
     }
-}
-
-fn assert_equivalent(a: Observation, b: Observation) {
-    let ea = a.energy_j;
-    let eb = b.energy_j;
-    assert!(
-        (ea - eb).abs() <= ea.abs() * 1e-9 + 1e-18,
-        "energy differs: {ea} vs {eb}"
-    );
-    let a = Observation { energy_j: 0.0, ..a };
-    let b = Observation { energy_j: 0.0, ..b };
-    assert_eq!(a, b);
 }
 
 props! {
@@ -90,7 +79,7 @@ props! {
         };
         let fast = observe(build(), 200_000, true);
         let slow = observe(build(), 200_000, false);
-        assert_equivalent(fast, slow);
+        assert_eq!(fast, slow);
     }
 
     /// Batched long-period workloads with chained timers: skip-equivalent.
@@ -116,7 +105,79 @@ props! {
         let horizon = base as u64 * count as u64 * 6;
         let fast = observe(build(), horizon, true);
         let slow = observe(build(), horizon, false);
-        assert_equivalent(fast, slow);
+        assert_eq!(fast, slow);
+    }
+}
+
+/// Everything the energy ledger holds: per component its mode cycles and
+/// activity-line unit-cycles, then the total energy's bits.
+type Ledger = (Vec<([Cycles; 3], Vec<u64>)>, u64);
+
+fn ledger(sys: &System) -> Ledger {
+    let meter = sys.meter();
+    let rows = meter
+        .all()
+        .map(|c| (c.mode_cycles, c.activities.iter().map(|a| a.unit_cycles).collect()))
+        .collect();
+    (rows, meter.total_energy().joules().to_bits())
+}
+
+/// Advance `sys` to `horizon` through `chunks`: `(true, n)` skips up to
+/// `n` cycles when the machine allows it (last step idle, no wakeup due),
+/// `(false, n)` steps `n` cycles; whatever remains is stepped.
+fn advance_chunked(sys: &mut System, horizon: u64, chunks: &[(bool, u64)]) {
+    let mut idle = false;
+    for &(skip, n) in chunks.iter().chain([(false, u64::MAX)].iter()) {
+        let end = sys.now().0.saturating_add(n).min(horizon);
+        if skip && idle {
+            let target = match sys.next_wakeup() {
+                Some(w) => w.0.min(end),
+                None => end,
+            };
+            if target > sys.now().0 {
+                sys.skip_to(Cycles(target));
+                continue;
+            }
+        }
+        while sys.now().0 < end {
+            idle = sys.step() == StepOutcome::Idle;
+        }
+    }
+}
+
+props! {
+    #![cases(16)]
+
+    /// One run advanced as a random mix of stepped cycles and skipped
+    /// spans counts exactly the cycles, unit-cycles and energy bits of
+    /// stepping every cycle: the ledger does not see how time was chunked.
+    #[test]
+    fn random_step_skip_chunking_is_exact(
+        period in 500u16..8_000,
+        seed in any_u64(),
+        arrivals in vec_of(1_000u64..50_000, 0..6),
+        chunks in vec_of((any_bool(), 1u64..12_000), 1..40),
+    ) {
+        let build = || {
+            let prog = stages::app4(SamplePeriod::Cycles(period), 20);
+            let mut sys = prog.build_system(
+                SystemConfig::default(),
+                Box::new(RandomWalkSensor::new(128, seed)),
+            );
+            for (i, at) in arrivals.iter().enumerate() {
+                let frame = Frame::data(0x22, 0x0009, 0x0001, i as u8, &[i as u8]).unwrap();
+                sys.schedule_rx(Cycles(*at), frame.encode());
+            }
+            sys
+        };
+        let horizon = 60_000;
+        let mut chunked = build();
+        advance_chunked(&mut chunked, horizon, &chunks);
+        let mut stepped = build();
+        advance_chunked(&mut stepped, horizon, &[]);
+        prop_assert_eq!(chunked.fault(), None);
+        prop_assert_eq!(chunked.now(), stepped.now());
+        prop_assert_eq!(ledger(&chunked), ledger(&stepped));
     }
 }
 

@@ -7,8 +7,8 @@
 //!    same stats, same event log, same deliveries — on random
 //!    topologies and transmit schedules (property test).
 //! 2. **Driver**: `run_cosim_event` (wheel-scheduled nodes) reproduces
-//!    `run_cosim` (poll every node every slot) counter-for-counter on
-//!    random configs; energy agrees to the fast-forward tolerance.
+//!    `run_cosim` (poll every node every slot) on random configs: every
+//!    counter and the energy bits are equal.
 //! 3. **Fleet**: a ≥1k-node dense population sharded across fleet
 //!    workers merges to byte-identical CSV whatever the thread count,
 //!    and the aggregate equals the serial tile fold exactly —
@@ -17,7 +17,7 @@
 use ulp_bench::cosim::{run_cosim, run_cosim_event, CosimConfig};
 use ulp_bench::dense::{self, DenseConfig};
 use ulp_net::{ChannelConfig, SpatialMedium};
-use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
+use ulp_testkit::{from_fn, prop_assert_eq, props, Rng};
 
 /// One random transmit schedule: `(node, at_us, payload)` sorted by
 /// request time, the order both drivers will issue them in.
@@ -117,9 +117,9 @@ props! {
     }
 
     /// Layer 2: the wheel-scheduled driver reproduces the slot-stepped
-    /// driver on random small configs — every integer counter equal,
-    /// energy within the fast-forward tolerance (idle spans are charged
-    /// in one lump, which only reorders the floating-point sum).
+    /// driver on random small configs — every integer counter equal, and
+    /// the energy bit-identical (idle spans are charged in one lump, but
+    /// the meter counts integer cycles and prices them only on read).
     #[test]
     fn event_driver_replays_slot_driver_on_random_configs(
         nodes in from_fn(|rng: &mut Rng| rng.gen_range(1usize..6)),
@@ -148,9 +148,10 @@ props! {
             (event.radio_tx, event.mcu_wakeups, event.service_p99, event.irqs_serviced),
             "node counters diverged for {:?}", cfg
         );
-        prop_assert!(
-            (slot.energy_j - event.energy_j).abs() <= slot.energy_j.abs() * 1e-12,
-            "energy diverged beyond tolerance for {:?}: {} vs {}",
+        prop_assert_eq!(
+            slot.energy_j.to_bits(),
+            event.energy_j.to_bits(),
+            "energy diverged for {:?}: {} vs {}",
             cfg, slot.energy_j, event.energy_j
         );
     }

@@ -241,7 +241,7 @@ props! {
 
 props! {
     /// Energy integration: charging a component for split spans equals
-    /// charging it once for the total.
+    /// charging it once for the total, bit for bit.
     #[test]
     fn meter_span_splitting(total in 1u64..1_000_000, cut in any_u64()) {
         use ulp_node::sim::EnergyMeter;
@@ -260,7 +260,7 @@ props! {
         b.charge(ib, PowerMode::Active, Cycles(total - cut));
         let ea = a.stats(ia).energy.joules();
         let eb = b.stats(ib).energy.joules();
-        prop_assert!((ea - eb).abs() <= ea.abs() * 1e-12 + 1e-30);
+        prop_assert_eq!(ea.to_bits(), eb.to_bits());
     }
 
     /// Cycles↔time conversions are consistent at any frequency.
